@@ -105,7 +105,6 @@ func driftSuite(seed int64, reps int) regress.BenchSummary {
 	for _, m := range modes {
 		s, err := serve.NewServer(serve.Config{
 			ModelDir: dir, Workers: 1, MaxConcurrent: 2 * burst,
-			BatchWindow: 5 * time.Millisecond, BatchMax: burst,
 			DriftEvery: m.driftEvery,
 		})
 		if err != nil {

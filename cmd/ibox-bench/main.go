@@ -11,16 +11,9 @@
 //     engine-wide par.Pool, as ibox-experiments does. Serial and
 //     parallel results are byte-identical by construction (see
 //     internal/par).
-//   - serve: batched-vs-unbatched serving latency of concurrent iBoxML
-//     replay bursts through the full HTTP path (see internal/serve). Both
-//     modes run on a single-worker pool, so the batched win is the
-//     shared per-window kernel setup, not extra parallelism — and both
-//     return byte-identical responses. A mixed-checkpoint section then
-//     streams a paper-scale burst spread over several distinct same-shape
-//     checkpoints through /v1/replay, comparing shape-keyed
-//     cross-checkpoint batching against per-checkpoint-only grouping on
-//     burst wall time and worst time-to-first-chunk, with every streamed
-//     prediction asserted bitwise-identical to the unbatched replay first.
+//   - serve: serving latency of concurrent iBoxML replay bursts through
+//     the full HTTP path (see internal/serve) on a single-worker pool,
+//     where every request runs as its own pool job.
 //   - nested: per-call par.Map vs shared par.Pool on the Fig 3 shape
 //     (variants × traces nested fan-outs) plus a synthetic nested tree,
 //     measuring what the help-first shared-pool scheduler buys when
@@ -28,12 +21,12 @@
 //     modes produce byte-identical experiment output.
 //   - kernel: the LSTM inference kernels themselves (internal/nn), per
 //     step: the training-path Step (the pre-kernel baseline), the
-//     compiled StepInto, lockstep StepBatchInto, the pre-projected
-//     window Forward, and the opt-in int8 path — on a typical shape and
-//     the §4.2 paper-scale stack (~2M params). Float kernel outputs are
-//     asserted bitwise-identical to the training path before timings are
-//     reported, and each mode prints the implied emulation rate
-//     (§4.2's packets-per-second budget as Mbps of 1500-byte packets).
+//     compiled StepInto and the pre-projected window Forward — on a
+//     typical shape and the §4.2 paper-scale stack (~2M params). Kernel
+//     outputs are asserted bitwise-identical to the training path before
+//     timings are reported, and each mode prints the implied emulation
+//     rate (§4.2's packets-per-second budget as Mbps of 1500-byte
+//     packets).
 //   - obs: the cost of observing. Self-checks first — the disabled
 //     obs path and the labeled hot-path lookup must be zero-alloc
 //     (testing.AllocsPerRun) — then concurrent serving bursts with
@@ -65,7 +58,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -283,7 +275,8 @@ func benchSynthTrace(seed int64, dur sim.Time) *trace.Trace {
 }
 
 // serveSuite measures concurrent iBoxML replay bursts through the HTTP
-// serving path, micro-batching on vs off, on a single-worker pool. Two
+// serving path on a single-worker pool. The mode keeps the name
+// "unbatched" so its rows compare against the committed baseline. Two
 // served models: the historical quick shape (Hidden 96, one layer, where
 // HTTP and JSON dominate) and the §4.2 paper-scale stack (Hidden 256,
 // four layers, ~2M params, where the inference kernel dominates — the
@@ -291,7 +284,7 @@ func benchSynthTrace(seed int64, dur sim.Time) *trace.Trace {
 // about). Each model's held-out calibration is attached to its
 // measurements, so a serving-speed win that costs model fidelity gates
 // in CI. The implied emulation Mbps (input-trace bytes over per-request
-// wall time) is reported per mode under speedup.*.implied_mbps_*.
+// wall time) is reported under speedup.*.implied_mbps_unbatched.
 func serveSuite(seed int64, reps int) regress.BenchSummary {
 	dir, err := os.MkdirTemp("", "ibox-bench-serve")
 	if err != nil {
@@ -312,13 +305,7 @@ func serveSuite(seed int64, reps int) regress.BenchSummary {
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		Speedups:   map[string]float64{},
 	}
-	modes := []struct {
-		mode    string
-		noBatch bool
-	}{
-		{"unbatched", true},
-		{"batched", false},
-	}
+	const mode = "unbatched"
 	specs := []struct {
 		prefix         string
 		id             string
@@ -354,286 +341,79 @@ func serveSuite(seed int64, reps int) regress.BenchSummary {
 
 		for _, burst := range spec.bursts {
 			name := fmt.Sprintf("%s/burst%d", spec.prefix, burst)
-			best := map[string]time.Duration{}
-			for _, m := range modes {
-				s, err := serve.NewServer(serve.Config{
-					ModelDir: dir,
-					// One worker pins both modes to the same CPU budget: the
-					// batched win below is the kernel setup sharing, not
-					// parallel replay.
-					Workers:       1,
-					MaxConcurrent: 2 * burst,
-					NoBatch:       m.noBatch,
-					BatchWindow:   5 * time.Millisecond,
-					BatchMax:      burst,
-				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := s.Registry().Warm([]string{spec.id}); err != nil {
-					log.Fatal(err)
-				}
-				ts := httptest.NewServer(s.Handler())
+			s, err := serve.NewServer(serve.Config{
+				ModelDir:      dir,
+				Workers:       1,
+				MaxConcurrent: 2 * burst,
+			})
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := s.Registry().Warm([]string{spec.id}); err != nil {
+				log.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
 
-				fire := func() time.Duration {
-					start := time.Now()
-					var wg sync.WaitGroup
-					for i := 0; i < burst; i++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", bytes.NewReader(reqBody))
-							if err != nil {
-								log.Fatalf("%s/%s: %v", name, m.mode, err)
-							}
-							defer resp.Body.Close()
-							if resp.StatusCode != http.StatusOK {
-								log.Fatalf("%s/%s: HTTP %d", name, m.mode, resp.StatusCode)
-							}
-							var sr serve.SimulateResponse
-							if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-								log.Fatalf("%s/%s: decode: %v", name, m.mode, err)
-							}
-						}()
-					}
-					wg.Wait()
-					return time.Since(start)
+			fire := func() time.Duration {
+				start := time.Now()
+				var wg sync.WaitGroup
+				for i := 0; i < burst; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", bytes.NewReader(reqBody))
+						if err != nil {
+							log.Fatalf("%s/%s: %v", name, mode, err)
+						}
+						defer resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							log.Fatalf("%s/%s: HTTP %d", name, mode, resp.StatusCode)
+						}
+						var sr serve.SimulateResponse
+						if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+							log.Fatalf("%s/%s: decode: %v", name, mode, err)
+						}
+					}()
 				}
-				fire() // warm-up: model load, pool spin-up, HTTP keep-alives
-				var min time.Duration
-				for r := 0; r < reps; r++ {
-					if d := fire(); r == 0 || d < min {
-						min = d
-					}
+				wg.Wait()
+				return time.Since(start)
+			}
+			fire() // warm-up: model load, pool spin-up, HTTP keep-alives
+			var min time.Duration
+			for r := 0; r < reps; r++ {
+				if d := fire(); r == 0 || d < min {
+					min = d
 				}
-				ts.Close()
-				best[m.mode] = min
-				sum.Benchmarks = append(sum.Benchmarks, regress.BenchMeasurement{
-					Name: name, Mode: m.mode, Workers: 1,
-					GoMaxProcs: runtime.GOMAXPROCS(0),
-					NsPerOp:    min.Nanoseconds(), Seconds: min.Seconds(), Reps: reps,
-					Fidelity: fid,
-				})
-				// One worker serializes the burst, so per-request wall time
-				// is burst wall over burst size; the input trace replayed
-				// in that time is §4.2's implied emulation rate.
-				mbps := inputBits / (min.Seconds() / float64(burst)) / 1e6
-				sum.Speedups[name+"/implied_mbps_"+m.mode] = mbps
-				fmt.Printf("%-24s %-10s %12d ns/burst  (%.3fs, implied %7.1f Mbit/s)\n",
-					name, m.mode, min.Nanoseconds(), min.Seconds(), mbps)
 			}
-			if b := best["batched"]; b > 0 {
-				speedup := float64(best["unbatched"]) / float64(b)
-				sum.Speedups[name] = speedup
-				fmt.Printf("%-24s speedup    %12.2fx\n", name, speedup)
-			}
+			ts.Close()
+			sum.Benchmarks = append(sum.Benchmarks, regress.BenchMeasurement{
+				Name: name, Mode: mode, Workers: 1,
+				GoMaxProcs: runtime.GOMAXPROCS(0),
+				NsPerOp:    min.Nanoseconds(), Seconds: min.Seconds(), Reps: reps,
+				Fidelity: fid,
+			})
+			// One worker serializes the burst, so per-request wall time
+			// is burst wall over burst size; the input trace replayed
+			// in that time is §4.2's implied emulation rate.
+			mbps := inputBits / (min.Seconds() / float64(burst)) / 1e6
+			sum.Speedups[name+"/implied_mbps_"+mode] = mbps
+			fmt.Printf("%-24s %-10s %12d ns/burst  (%.3fs, implied %7.1f Mbit/s)\n",
+				name, mode, min.Nanoseconds(), min.Seconds(), mbps)
 		}
 	}
-	serveMixedSection(&sum, dir, seed, reps, input)
 	return sum
-}
-
-// serveMixedSection measures the multi-tenant paper-scale case the
-// shape-keyed batcher exists for: a burst of streaming replays spread
-// round-robin over several DISTINCT checkpoints that share the §4.2
-// paper-scale shape (Hidden 256, four layers, ~2M params each). The
-// checkpoints are derived from the suite's paper-scale model by
-// deterministic weight perturbation, so every lane carries genuinely
-// different weights. Two batching policies compete on the same
-// single-worker pool:
-//
-//   - percheckpoint (Config.BatchPerCheckpoint): requests only co-batch
-//     with their own artifact — the pre-shape-key behavior, where a mixed
-//     burst fragments into per-checkpoint groups that run serially.
-//   - crossckpt: the default shape-keyed grouping — the whole burst
-//     coalesces into one lane batch, each lane stepping its own weights.
-//
-// Before any timing, every streamed mu sequence is asserted bitwise
-// equal to its checkpoint's offline unbatched PredictWindows — the
-// policies may differ only in latency, never in a single output bit.
-// Reported: burst wall time per mode, plus the burst's worst
-// time-to-first-chunk (speedup.*/ttfc_ms_*) — the structural win of
-// lockstep cross-checkpoint batching is that every stream makes
-// incremental progress instead of queueing behind whole replays, so the
-// last client's first chunk arrives a small fraction into the burst
-// rather than near its end.
-func serveMixedSection(sum *regress.BenchSummary, dir string, seed int64, reps int, input *trace.Trace) {
-	const (
-		clones = 4
-		burst  = 8
-		chunk  = 8 // windows per streamed chunk: several flushes per 4s trace
-	)
-	ids := make([]string, clones)
-	want := make([][]float64, clones)
-	bodies := make([][]byte, clones)
-	for c := 0; c < clones; c++ {
-		m, err := iboxml.Load(dir + "/paper.json")
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Perturb before the first inference compiles the kernel, so the
-		// clone's compiled weights are the perturbed ones.
-		scale := 1 + 0.01*float64(c+1)
-		for _, p := range m.Net.Params() {
-			for i := range p.W {
-				p.W[i] *= scale
-			}
-		}
-		ids[c] = fmt.Sprintf("mixed-%d.json", c)
-		if err := m.Save(dir + "/" + ids[c]); err != nil {
-			log.Fatal(err)
-		}
-		want[c], _ = m.PredictWindows(input, nil)
-		bodies[c], err = json.Marshal(serve.ReplayRequest{Model: ids[c], Input: input, Seed: seed + int64(c)})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	name := fmt.Sprintf("ServeMixed/paper%dx%d", clones, burst)
-	modes := []struct {
-		mode    string
-		perCkpt bool
-	}{
-		{"percheckpoint", true},
-		{"crossckpt", false},
-	}
-	best := map[string]time.Duration{}
-	bestTTFC := map[string]time.Duration{}
-	for _, m := range modes {
-		s, err := serve.NewServer(serve.Config{
-			ModelDir:           dir,
-			Workers:            1, // same CPU budget for both policies
-			MaxConcurrent:      2 * burst,
-			BatchWindow:        5 * time.Millisecond,
-			BatchMax:           burst,
-			StreamChunk:        chunk,
-			BatchPerCheckpoint: m.perCkpt,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := s.Registry().Warm(ids); err != nil {
-			log.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-
-		fire := func() (time.Duration, time.Duration) {
-			start := time.Now()
-			ttfc := make([]time.Duration, burst)
-			mus := make([][]float64, burst)
-			var wg sync.WaitGroup
-			for i := 0; i < burst; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					resp, err := http.Post(ts.URL+"/v1/replay", "application/json", bytes.NewReader(bodies[i%clones]))
-					if err != nil {
-						log.Fatalf("%s/%s: %v", name, m.mode, err)
-					}
-					defer resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						log.Fatalf("%s/%s: HTTP %d", name, m.mode, resp.StatusCode)
-					}
-					sc := bufio.NewScanner(resp.Body)
-					sc.Buffer(make([]byte, 1<<20), 1<<24)
-					sawEnd := false
-					for sc.Scan() {
-						var frame struct {
-							Type  string    `json:"type"`
-							Mu    []float64 `json:"mu"`
-							Error string    `json:"error"`
-						}
-						if err := json.Unmarshal(sc.Bytes(), &frame); err != nil {
-							log.Fatalf("%s/%s: decode stream: %v", name, m.mode, err)
-						}
-						switch frame.Type {
-						case "windows":
-							if ttfc[i] == 0 {
-								ttfc[i] = time.Since(start)
-							}
-							mus[i] = append(mus[i], frame.Mu...)
-						case "end":
-							sawEnd = true
-						case "error":
-							log.Fatalf("%s/%s: stream error: %s", name, m.mode, frame.Error)
-						}
-					}
-					if err := sc.Err(); err != nil {
-						log.Fatalf("%s/%s: read stream: %v", name, m.mode, err)
-					}
-					if !sawEnd {
-						log.Fatalf("%s/%s: stream ended without end frame", name, m.mode)
-					}
-				}(i)
-			}
-			wg.Wait()
-			wall := time.Since(start)
-			// Equivalence gate: every streamed sequence must be bitwise
-			// identical to its own checkpoint's unbatched replay (JSON
-			// round-trips float64 exactly, so this is a real bit check).
-			for i := range mus {
-				w := want[i%clones]
-				if len(mus[i]) != len(w) {
-					log.Fatalf("%s/%s: request %d streamed %d windows, want %d", name, m.mode, i, len(mus[i]), len(w))
-				}
-				for k := range w {
-					if math.Float64bits(mus[i][k]) != math.Float64bits(w[k]) {
-						log.Fatalf("%s/%s: request %d window %d: streamed mu %v != offline unbatched %v",
-							name, m.mode, i, k, mus[i][k], w[k])
-					}
-				}
-			}
-			maxTTFC := time.Duration(0)
-			for _, d := range ttfc {
-				if d > maxTTFC {
-					maxTTFC = d
-				}
-			}
-			return wall, maxTTFC
-		}
-		fire() // warm-up: model load, pool spin-up, HTTP keep-alives
-		var minWall, minTTFC time.Duration
-		for r := 0; r < reps; r++ {
-			wall, t := fire()
-			if r == 0 || wall < minWall {
-				minWall = wall
-			}
-			if r == 0 || t < minTTFC {
-				minTTFC = t
-			}
-		}
-		ts.Close()
-		best[m.mode], bestTTFC[m.mode] = minWall, minTTFC
-		sum.Benchmarks = append(sum.Benchmarks, regress.BenchMeasurement{
-			Name: name, Mode: m.mode, Workers: 1,
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			NsPerOp:    minWall.Nanoseconds(), Seconds: minWall.Seconds(), Reps: reps,
-		})
-		sum.Speedups[name+"/ttfc_ms_"+m.mode] = minTTFC.Seconds() * 1e3
-		fmt.Printf("%-24s %-14s %12d ns/burst  (%.3fs, worst first-chunk %6.1f ms)\n",
-			name, m.mode, minWall.Nanoseconds(), minWall.Seconds(), minTTFC.Seconds()*1e3)
-	}
-	if b := best["crossckpt"]; b > 0 {
-		sum.Speedups[name] = float64(best["percheckpoint"]) / float64(b)
-		sum.Speedups[name+"/ttfc"] = float64(bestTTFC["percheckpoint"]) / float64(bestTTFC["crossckpt"])
-		fmt.Printf("%-24s wall       %12.2fx   first-chunk %.2fx\n",
-			name, sum.Speedups[name], sum.Speedups[name+"/ttfc"])
-	}
 }
 
 // kernelSuite measures the LSTM inference kernels in isolation, per
 // step, so kernel-level regressions gate without the noise of the full
 // serving or experiment paths. Two shapes: a typical replay model and
-// the §4.2 paper-scale stack. Five modes per shape:
+// the §4.2 paper-scale stack. Three modes per shape:
 //
 //   - step:     the training-path LSTM.Step — the pre-kernel baseline
 //   - stepinto: the compiled zero-alloc InferModel.StepInto
-//   - batch:    lockstep StepBatchInto over 8 members (ns per member-step)
 //   - window:   the pre-projected whole-window Forward (ns per step)
-//   - int8:     the opt-in quantized StepInto (documented: not bitwise)
 //
-// Before timing, every float mode's final hidden vector is asserted
+// Before timing, every compiled mode's final hidden vector is asserted
 // bitwise-identical to the training path's — the suite self-checks the
 // kernel contract at both shapes on every run. Each mode also prints the
 // implied emulation rate for 1500-byte packets at one inference per
@@ -659,7 +439,6 @@ func kernelSuite(seed int64, reps int) regress.BenchSummary {
 	for _, sh := range shapes {
 		lstm := nn.NewLSTM(sh.in, sh.hidden, sh.layers, seed)
 		im := lstm.Compile()
-		qm := lstm.CompileQuantized()
 		rng := sim.NewRand(seed+7, 13)
 		xs := make([][]float64, sh.steps)
 		for t := range xs {
@@ -669,7 +448,7 @@ func kernelSuite(seed int64, reps int) regress.BenchSummary {
 			}
 		}
 
-		// Contract self-check: every float kernel mode ends bitwise where
+		// Contract self-check: every compiled kernel mode ends bitwise where
 		// the training path ends.
 		ref := lstm.NewState()
 		var want []float64
@@ -692,15 +471,9 @@ func kernelSuite(seed int64, reps int) regress.BenchSummary {
 		fwd := im.Forward(xs)
 		checkTop("window", fwd[len(fwd)-1])
 
-		const members = 8
-		bsts := make([]*nn.InferState, members)
-		brows := make([][]float64, members)
-		for b := range bsts {
-			bsts[b] = im.NewState()
-		}
 		modes := []struct {
 			mode string
-			run  func() // one rep: sh.steps kernel steps (per member)
+			run  func() // one rep: sh.steps kernel steps
 		}{
 			{"step", func() {
 				st := lstm.NewState()
@@ -714,34 +487,13 @@ func kernelSuite(seed int64, reps int) regress.BenchSummary {
 					im.StepInto(st, x)
 				}
 			}},
-			{"batch", func() {
-				for _, st := range bsts {
-					st.Reset()
-				}
-				for _, x := range xs {
-					for b := range brows {
-						brows[b] = x
-					}
-					im.StepBatchInto(bsts, brows, nil, 0)
-				}
-			}},
 			{"window", func() {
 				im.Forward(xs)
-			}},
-			{"int8", func() {
-				st := qm.NewState()
-				for _, x := range xs {
-					qm.StepInto(st, x)
-				}
 			}},
 		}
 		name := "Kernel/" + sh.name
 		best := map[string]time.Duration{}
 		for _, m := range modes {
-			perRep := sh.steps
-			if m.mode == "batch" {
-				perRep *= members
-			}
 			m.run() // warm-up: page in weights, settle the branch predictors
 			var min time.Duration
 			for r := 0; r < reps; r++ {
@@ -751,7 +503,7 @@ func kernelSuite(seed int64, reps int) regress.BenchSummary {
 					min = d
 				}
 			}
-			nsPerStep := min.Nanoseconds() / int64(perRep)
+			nsPerStep := min.Nanoseconds() / int64(sh.steps)
 			best[m.mode] = time.Duration(nsPerStep)
 			sum.Benchmarks = append(sum.Benchmarks, regress.BenchMeasurement{
 				Name: name, Mode: m.mode, Workers: 1,
@@ -763,7 +515,7 @@ func kernelSuite(seed int64, reps int) regress.BenchSummary {
 			fmt.Printf("%-15s %-9s %9d ns/step  (implied %8.1f Mbit/s)\n",
 				name, m.mode, nsPerStep, mbps)
 		}
-		for _, m := range []string{"stepinto", "batch", "window"} {
+		for _, m := range []string{"stepinto", "window"} {
 			if b := best[m]; b > 0 {
 				sum.Speedups[name+"/"+m] = float64(best["step"]) / float64(b)
 			}
@@ -800,7 +552,7 @@ func obsSuite(seed int64, reps int) regress.BenchSummary {
 		nilCtr.Add(1)
 		nilHist.Observe(12345)
 		nilCV.With("simulate", "2xx").Add(1)
-		nilHV.With("simulate", "m.json", "2xx", "true").Observe(12345)
+		nilHV.With("simulate", "m.json", "2xx").Observe(12345)
 	}); n != 0 {
 		log.Fatalf("obs: disabled path allocates %.1f bytes/op, want 0", n)
 	}
@@ -809,12 +561,12 @@ func obsSuite(seed int64, reps int) regress.BenchSummary {
 	// allocating.
 	reg := obs.Enable()
 	cv := reg.CounterVec("bench.http_requests", "route", "status")
-	hv := reg.HistogramVec("bench.request_ns", "route", "model", "status", "batched")
+	hv := reg.HistogramVec("bench.request_ns", "route", "model", "status")
 	cv.With("simulate", "2xx").Add(1)
-	hv.With("simulate", "m.json", "2xx", "true").Observe(1)
+	hv.With("simulate", "m.json", "2xx").Observe(1)
 	if n := testing.AllocsPerRun(200, func() {
 		cv.With("simulate", "2xx").Add(1)
-		hv.With("simulate", "m.json", "2xx", "true").Observe(12345)
+		hv.With("simulate", "m.json", "2xx").Observe(12345)
 	}); n != 0 {
 		log.Fatalf("obs: labeled hot-path lookup allocates %.1f bytes/op, want 0", n)
 	}
@@ -872,8 +624,7 @@ func obsSuite(seed int64, reps int) regress.BenchSummary {
 			obs.Disable()
 			obs.SetLogger(nil)
 		}
-		cfg := serve.Config{ModelDir: dir, Workers: 1, MaxConcurrent: 2 * burst,
-			BatchWindow: 5 * time.Millisecond, BatchMax: burst}
+		cfg := serve.Config{ModelDir: dir, Workers: 1, MaxConcurrent: 2 * burst}
 		if m.instrument {
 			cfg.TraceSample = 1.0 / 8
 		}

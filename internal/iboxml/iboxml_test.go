@@ -386,3 +386,19 @@ func TestModelWithCTFeature(t *testing.T) {
 		t.Error("CT changed prediction length")
 	}
 }
+
+// TestPredictPacketDelayNoAllocs pins the zero-allocation contract of the
+// per-packet serving path end to end (standardize, kernel step, head,
+// de-standardize).
+func TestPredictPacketDelayNoAllocs(t *testing.T) {
+	m, err := Train(trainSamples(2, 3*sim.Second), Config{Hidden: 8, Layers: 2, Epochs: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := m.PredictPacketDelay()
+	feats := []float64{1200, 8, 1200, 30}
+	step(feats) // warm the compiled-kernel cache before counting
+	if n := testing.AllocsPerRun(100, func() { step(feats) }); n != 0 {
+		t.Fatalf("PredictPacketDelay allocates %v times per packet, want 0", n)
+	}
+}

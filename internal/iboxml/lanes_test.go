@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ibox/internal/sim"
+	"ibox/internal/trace"
 )
 
 // laneModel trains a small model of the given architecture; distinct
@@ -28,10 +29,7 @@ func laneModel(t testing.TB, hidden, layers int, seed int64) *Model {
 // equivalence harness: three checkpoints with different weights but one
 // shape replay different traces in a single lane batch, across odd
 // hidden sizes and 1–4 layers, and every lane's output must serialize to
-// exactly the bytes of its own unbatched SimulateTrace. (The int8 kernel
-// is excluded by construction: Quantized is part of the Shape, so a
-// quantized lane can never share a batch with these — see
-// TestLanesShapeMismatchPanics.)
+// exactly the bytes of its own SimulateTrace.
 func TestSimulateTraceLanesMixedCheckpoints(t *testing.T) {
 	shapes := []struct{ hidden, layers int }{
 		{5, 1}, {7, 2}, {9, 3}, {11, 4},
@@ -55,7 +53,7 @@ func TestSimulateTraceLanesMixedCheckpoints(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(bw.Bytes(), bb.Bytes()) {
-					t.Fatalf("lane %d: cross-checkpoint batched simulation differs from unbatched", i)
+					t.Fatalf("lane %d: cross-checkpoint multi-lane simulation differs from SimulateTrace", i)
 				}
 			}
 		})
@@ -136,9 +134,9 @@ func TestPredictWindowsLanesEmit(t *testing.T) {
 	}
 }
 
-// TestLanesShapeMismatchPanics: incompatible models — different
-// architecture, different window, or float vs int8 kernel — must never
-// co-batch; the lane entry point panics instead of corrupting state.
+// TestLanesShapeMismatchPanics: models of different architecture must
+// never share a lane batch; the lane entry point panics instead of
+// corrupting state.
 func TestLanesShapeMismatchPanics(t *testing.T) {
 	base := laneModel(t, 5, 1, 5)
 	tr := synthTrace(81, sim.Second)
@@ -160,20 +158,127 @@ func TestLanesShapeMismatchPanics(t *testing.T) {
 	}
 	mustPanic("hidden", laneModel(t, 7, 1, 5))
 	mustPanic("layers", laneModel(t, 5, 2, 5))
-
-	quant := laneModel(t, 5, 1, 9)
-	quant.EnableInt8(true)
-	mustPanic("int8", quant)
 }
 
-// TestShapeString pins the metric-label form of the co-batching key.
+// TestShapeString pins the label form of the lane compatibility key.
 func TestShapeString(t *testing.T) {
 	m := laneModel(t, 5, 1, 5)
 	if got, want := m.Shape().String(), "in4_h5_l1_w100ms"; got != want {
 		t.Fatalf("Shape.String() = %q, want %q", got, want)
 	}
-	m.EnableInt8(true)
-	if got := m.Shape().String(); !strings.HasSuffix(got, "_int8") {
-		t.Fatalf("quantized shape label %q lacks _int8 suffix", got)
+}
+
+// singleModelLanes builds one lane per trace, all on model m.
+func singleModelLanes(m *Model, trs []*trace.Trace, seeds []int64) []ReplayLane {
+	lanes := make([]ReplayLane, len(trs))
+	for i, tr := range trs {
+		lanes[i] = ReplayLane{Model: m, Input: tr}
+		if seeds != nil {
+			lanes[i].Seed = seeds[i]
+		}
 	}
+	return lanes
+}
+
+// TestPredictWindowsBatchMatchesSingle asserts the lockstep multi-lane
+// closed-loop unroll over one model is bitwise identical to per-trace
+// PredictWindows, including when lanes span different window counts
+// (shorter traces drop out of the active set mid-unroll).
+func TestPredictWindowsBatchMatchesSingle(t *testing.T) {
+	m := laneModel(t, 8, 1, 5)
+	trs := []*trace.Trace{
+		synthTrace(11, 3*sim.Second),
+		synthTrace(12, 1*sim.Second), // shorter: exits the active set early
+		synthTrace(13, 2*sim.Second),
+		synthTrace(14, 3*sim.Second),
+		synthTrace(15, 500*sim.Millisecond),
+	}
+	mus, sigmas := PredictWindowsLanes(singleModelLanes(m, trs, nil), 0)
+	for i, tr := range trs {
+		mu, sigma := m.PredictWindows(tr, nil)
+		if len(mus[i]) != len(mu) {
+			t.Fatalf("trace %d: lanes %d windows, single %d", i, len(mus[i]), len(mu))
+		}
+		for w := range mu {
+			if math.Float64bits(mus[i][w]) != math.Float64bits(mu[w]) ||
+				math.Float64bits(sigmas[i][w]) != math.Float64bits(sigma[w]) {
+				t.Fatalf("trace %d window %d: lanes (%v,%v) != single (%v,%v)",
+					i, w, mus[i][w], sigmas[i][w], mu[w], sigma[w])
+			}
+		}
+	}
+}
+
+// TestSimulateTraceBatchMatchesSingle checks the full serving-path
+// contract over one model: multi-lane simulation serializes to the same
+// bytes as per-trace SimulateTrace.
+func TestSimulateTraceBatchMatchesSingle(t *testing.T) {
+	m := laneModel(t, 8, 1, 5)
+	trs := []*trace.Trace{
+		synthTrace(21, 2*sim.Second),
+		synthTrace(22, 1*sim.Second),
+		synthTrace(23, 2*sim.Second),
+		synthTrace(24, 3*sim.Second),
+	}
+	seeds := []int64{101, 102, 103, 104}
+	outs := SimulateTraceLanes(singleModelLanes(m, trs, seeds), 0)
+	for i, tr := range trs {
+		want := m.SimulateTrace(tr, nil, seeds[i])
+		var bw, bb bytes.Buffer
+		if err := json.NewEncoder(&bw).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewEncoder(&bb).Encode(outs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bw.Bytes(), bb.Bytes()) {
+			t.Fatalf("trace %d: multi-lane simulation differs from SimulateTrace", i)
+		}
+	}
+}
+
+// TestPredictWindowsBatchSingleton checks the one-lane call the serving
+// layer makes for every replay.
+func TestPredictWindowsBatchSingleton(t *testing.T) {
+	m := laneModel(t, 8, 1, 5)
+	tr := synthTrace(31, 2*sim.Second)
+	mus, sigmas := PredictWindowsLanes(singleModelLanes(m, []*trace.Trace{tr}, nil), 0)
+	mu, sigma := m.PredictWindows(tr, nil)
+	for w := range mu {
+		if math.Float64bits(mus[0][w]) != math.Float64bits(mu[w]) ||
+			math.Float64bits(sigmas[0][w]) != math.Float64bits(sigma[w]) {
+			t.Fatalf("window %d differs", w)
+		}
+	}
+}
+
+// BenchmarkSimulateTraceLanes compares one 8-lane simulate against 8
+// sequential SimulateTrace calls on the same model.
+func BenchmarkSimulateTraceLanes(b *testing.B) {
+	m, err := Train(trainSamples(2, 4*sim.Second), Config{
+		Hidden: 48, Layers: 2, Epochs: 1, Seed: 5,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 8
+	trs := make([]*trace.Trace, n)
+	seeds := make([]int64, n)
+	for i := range trs {
+		trs[i] = synthTrace(int64(40+i), 2*sim.Second)
+		seeds[i] = int64(200 + i)
+	}
+	lanes := singleModelLanes(m, trs, seeds)
+	b.Run("lanes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			SimulateTraceLanes(lanes, 0)
+		}
+	})
+	b.Run("single", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := range trs {
+				m.SimulateTrace(trs[j], nil, seeds[j])
+			}
+		}
+	})
 }

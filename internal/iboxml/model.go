@@ -112,43 +112,10 @@ type Model struct {
 	// env is the training feature envelope backing the §6 model-validity
 	// analysis (see Validity).
 	env envelope
-	// useInt8 switches inference onto the opt-in int8-quantized kernel.
-	// Off by default; see EnableInt8.
-	useInt8 bool
 	// baseline is the training-time calibration scorecard embedded in
 	// the artifact (SetBaseline/Baseline); nil when never calibrated or
 	// when the artifact predates baselines.
 	baseline *Calibration
-}
-
-// EnableInt8 toggles the int8-quantized inference kernel for every
-// prediction path of this model (replay, hierarchical, per-packet,
-// open-loop). It trades exactness for an 8× smaller weight working set:
-// quantized predictions are NOT bitwise-identical to the float path
-// (weights round to 8 bits per value with per-row scales), so downstream
-// byte-identity guarantees no longer hold across the toggle. Re-validate
-// fidelity on held-out traces via Calibrate before serving with it.
-// Training is unaffected — quantization applies at kernel compile time.
-func (m *Model) EnableInt8(on bool) { m.useInt8 = on }
-
-// Int8Enabled reports whether the int8 inference kernel is active.
-func (m *Model) Int8Enabled() bool { return m.useInt8 }
-
-// inferModel returns the compiled inference kernel honoring the int8
-// toggle.
-func (m *Model) inferModel() *nn.InferModel {
-	if m.useInt8 {
-		return m.Net.InferQuantized()
-	}
-	return m.Net.Infer()
-}
-
-// newPredictor returns a stateful handle on the active kernel.
-func (m *Model) newPredictor() *nn.Predictor {
-	if m.useInt8 {
-		return m.Net.NewPredictorQuantized()
-	}
-	return m.Net.NewPredictor()
 }
 
 // TrainingSample pairs a trace with its (optional) cross-traffic estimate.
@@ -368,7 +335,7 @@ func (m *Model) PredictWindows(tr *trace.Trace, ct *trace.Series) (mu, sigma []f
 			xs[i] = append(xs[i], 0)
 		}
 	}
-	pred := m.newPredictor()
+	pred := m.Net.NewPredictor()
 	mu = make([]float64, len(xs))
 	sigma = make([]float64, len(xs))
 	var row []float64
@@ -422,7 +389,7 @@ func (m *Model) SimulateTrace(tr *trace.Trace, ct *trace.Series, seed int64) *tr
 
 // samplePackets turns per-window closed-loop delay distributions into the
 // per-packet output trace (the sampling half of SimulateTrace). It is
-// shared between the single-trace path and SimulateTraceBatch so both
+// shared between the single-trace path and SimulateTraceLanes so both
 // produce identical bytes for identical (mu, sigma, seed).
 func (m *Model) samplePackets(tr *trace.Trace, mu, sigma []float64, seed int64) *trace.Trace {
 	rng := sim.NewRand(seed, 71)
@@ -508,7 +475,7 @@ func (m *Model) PredictWindowsOpenLoop(tr *trace.Trace, ct *trace.Series) (mu, s
 	for t := range xs {
 		rows[t] = m.xScale.apply(xs[t])
 	}
-	outs := m.Net.PredictSequenceOn(m.inferModel(), rows)
+	outs := m.Net.PredictSequence(rows)
 	mu = make([]float64, len(xs))
 	sigma = make([]float64, len(xs))
 	for t, out := range outs {
@@ -527,7 +494,7 @@ func (m *Model) PredictWindowsOpenLoop(tr *trace.Trace, ct *trace.Series) (mu, s
 // The closure performs no per-call allocation — all scratch (input
 // buffers, kernel state) is owned by the closure and reused.
 func (m *Model) PredictPacketDelay() func(features []float64) float64 {
-	pred := m.newPredictor()
+	pred := m.Net.NewPredictor()
 	dim := 4
 	if m.Cfg.UseCrossTraffic {
 		dim = 5

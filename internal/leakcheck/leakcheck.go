@@ -1,7 +1,7 @@
 // Package leakcheck is a dependency-free goroutine-leak detector for
 // TestMain. After a package's tests finish it snapshots every goroutine
 // stack and fails the run if any stack mentions one of the package's own
-// import paths — a pool worker that Close never reaped, a batcher
+// import paths — a pool worker that Close never reaped, a replay
 // goroutine stuck on a channel, a dispatcher blocked on a dead pool.
 //
 // The filter is substring-on-stack rather than a baseline diff, so

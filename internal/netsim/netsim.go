@@ -93,8 +93,8 @@ type ReorderModel struct {
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if c.Rate <= 0 {
-		return fmt.Errorf("netsim: rate must be positive, got %v", c.Rate)
+	if !(c.Rate > 0) || math.IsInf(c.Rate, 1) {
+		return fmt.Errorf("netsim: rate must be positive and finite, got %v", c.Rate)
 	}
 	if c.BufferBytes <= 0 {
 		return fmt.Errorf("netsim: buffer must be positive, got %d", c.BufferBytes)

@@ -74,7 +74,7 @@ func TestInferForwardMatchesStepInto(t *testing.T) {
 
 // TestPreProjectedStepMatchesPlain pins the prefix pre-projection path:
 // pre-projecting any prefix [0, upto) of the input columns and resuming
-// via StepBatchInto(tailOff=upto) must reproduce the plain step bitwise,
+// via StepBatchLanesInto(tailOff=upto) must reproduce the plain step bitwise,
 // for every possible split point.
 func TestPreProjectedStepMatchesPlain(t *testing.T) {
 	for _, sh := range kernelShapes {
@@ -89,39 +89,11 @@ func TestPreProjectedStepMatchesPlain(t *testing.T) {
 			st := im.NewState()
 			ref := im.NewState()
 			for tt, x := range xs {
-				im.StepBatchInto([]*InferState{st}, [][]float64{x},
+				StepBatchLanesInto([]*InferModel{im}, []*InferState{st}, [][]float64{x},
 					[][]float64{pre[tt*rows : (tt+1)*rows]}, upto)
 				want := im.StepInto(ref, x)
 				bitsEqual(t, "pre-projected step", st.Top(), want)
 			}
-		}
-	}
-}
-
-// TestStepBatchIntoMatchesStepInto checks member independence: a batch of
-// states over different sequences advances each exactly as it would
-// alone.
-func TestStepBatchIntoMatchesStepInto(t *testing.T) {
-	lstm := NewLSTM(4, 6, 2, 13)
-	im := lstm.Compile()
-	const n, T = 5, 8
-	seqs := make([][][]float64, n)
-	refs := make([]*InferState, n)
-	sts := make([]*InferState, n)
-	for b := range seqs {
-		seqs[b] = randSeq(int64(500+b), T, 4)
-		refs[b] = im.NewState()
-		sts[b] = im.NewState()
-	}
-	for tt := 0; tt < T; tt++ {
-		xs := make([][]float64, n)
-		for b := range xs {
-			xs[b] = seqs[b][tt]
-		}
-		im.StepBatchInto(sts, xs, nil, 0)
-		for b := 0; b < n; b++ {
-			want := im.StepInto(refs[b], seqs[b][tt])
-			bitsEqual(t, "batched step", sts[b].Top(), want)
 		}
 	}
 }
@@ -147,46 +119,6 @@ func TestPredictorStepNoAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { p.StepGaussian(x) }); n != 0 {
 		t.Fatalf("StepGaussian allocates %v times per step, want 0", n)
 	}
-}
-
-// TestQuantizedKernel checks the opt-in int8 path: it must run every
-// shape, produce finite outputs in the ballpark of the float kernel
-// (NOT bitwise — that is the documented caveat), and refuse
-// pre-projection.
-func TestQuantizedKernel(t *testing.T) {
-	for _, sh := range kernelShapes {
-		lstm := NewLSTM(sh.in, sh.hidden, sh.layers, 23)
-		im := lstm.Compile()
-		qm := lstm.CompileQuantized()
-		if im.Quantized() || !qm.Quantized() {
-			t.Fatal("Quantized() flags wrong")
-		}
-		st, qst := im.NewState(), qm.NewState()
-		xs := randSeq(55, 10, sh.in)
-		for _, x := range xs {
-			want := im.StepInto(st, x)
-			got := qm.StepInto(qst, x)
-			for j := range got {
-				if math.IsNaN(got[j]) || math.IsInf(got[j], 0) {
-					t.Fatalf("quantized output not finite: %v", got[j])
-				}
-				// Hidden activations are tanh-bounded; int8 per-row scales
-				// keep the pre-activations close, so outputs stay near the
-				// float path without being equal to it.
-				if d := math.Abs(got[j] - want[j]); d > 0.15 {
-					t.Fatalf("quantized output drifted: |%v - %v| = %v", got[j], want[j], d)
-				}
-			}
-		}
-	}
-	lstm := NewLSTM(4, 8, 1, 29)
-	qm := lstm.CompileQuantized()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PreProjectInput on a quantized kernel did not panic")
-		}
-	}()
-	qm.PreProjectInput(make([]float64, qm.InputRowsPerStep()), randSeq(1, 1, 4), 2)
 }
 
 // FuzzInferKernel fuzzes shape and data seeds: whatever the dimensions,

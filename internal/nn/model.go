@@ -74,12 +74,11 @@ type SequenceModel struct {
 	LSTM *LSTM
 	Head *Dense
 
-	// Lazily compiled inference kernels (see infer.go). Guarded by mu;
+	// Lazily compiled inference kernel (see infer.go). Guarded by mu;
 	// invalidated whenever TrainSequence touches the weights so a kernel
 	// never serves stale parameters.
 	mu    sync.Mutex
 	infer *InferModel
-	quant *InferModel
 }
 
 // Infer returns the compiled float inference kernel for the current
@@ -93,23 +92,10 @@ func (m *SequenceModel) Infer() *InferModel {
 	return m.infer
 }
 
-// InferQuantized is Infer for the opt-in int8 kernel. Unlike every other
-// inference path it is NOT bitwise-identical to LSTM.Step — see
-// infer_int8.go for the accuracy caveats.
-func (m *SequenceModel) InferQuantized() *InferModel {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.quant == nil {
-		m.quant = m.LSTM.CompileQuantized()
-	}
-	return m.quant
-}
-
-// invalidateKernels drops compiled kernels after a weight update.
+// invalidateKernels drops the compiled kernel after a weight update.
 func (m *SequenceModel) invalidateKernels() {
 	m.mu.Lock()
 	m.infer = nil
-	m.quant = nil
 	m.mu.Unlock()
 }
 
@@ -214,13 +200,6 @@ func (m *SequenceModel) NewPredictor() *Predictor {
 	return &Predictor{model: m, im: im, st: im.NewState(), head: make([]float64, m.Head.Out)}
 }
 
-// NewPredictorQuantized is NewPredictor on the opt-in int8 kernel (not
-// bitwise-identical; see infer_int8.go).
-func (m *SequenceModel) NewPredictorQuantized() *Predictor {
-	im := m.InferQuantized()
-	return &Predictor{model: m, im: im, st: im.NewState(), head: make([]float64, m.Head.Out)}
-}
-
 // Reset zeroes the recurrent state in place.
 func (p *Predictor) Reset() { p.st.Reset() }
 
@@ -253,13 +232,7 @@ func (m *SequenceModel) HeadGaussian(h, scratch []float64) GaussianOutput {
 // window is fully known, the input projections run as one blocked GEMM per
 // layer (InferModel.Forward) — same results, far fewer weight streams.
 func (m *SequenceModel) PredictSequence(xs [][]float64) []GaussianOutput {
-	return m.PredictSequenceOn(m.Infer(), xs)
-}
-
-// PredictSequenceOn is PredictSequence on a specific compiled kernel
-// (e.g. InferQuantized for the opt-in int8 path).
-func (m *SequenceModel) PredictSequenceOn(im *InferModel, xs [][]float64) []GaussianOutput {
-	hs := im.Forward(xs)
+	hs := m.Infer().Forward(xs)
 	out := make([]GaussianOutput, len(xs))
 	head := make([]float64, m.Head.Out)
 	for t, h := range hs {

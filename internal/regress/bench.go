@@ -22,7 +22,7 @@ type BenchMeasurement struct {
 	Reps        int                   `json:"reps"`
 	ItemLatency *obs.HistogramSummary `json:"item_latency,omitempty"`
 	// Fidelity ties a speed measurement to model quality, so a bench
-	// "win" that silently trades accuracy away (e.g. the int8 kernel)
+	// "win" that silently trades accuracy away (e.g. a lossy kernel)
 	// gates on the same fidelity classes as a run report.
 	Fidelity *BenchFidelity `json:"fidelity,omitempty"`
 }

@@ -14,14 +14,14 @@ import (
 
 // Per-request observability: every /v1 request gets a request ID
 // (accepted from X-Request-Id or generated), carried through admission,
-// registry load, the micro-batcher and the kernel call via a request
-// meta record in the context. At completion the middleware:
+// registry load and the kernel call via a request meta record in the
+// context. At completion the middleware:
 //
 //   - echoes the ID in the X-Request-Id response header;
 //   - records the labeled metric families (route / model / status
-//     class / batched) and the flat totals they reconcile with;
+//     class) and the flat totals they reconcile with;
 //   - emits one structured access-log line through obs.Logger() with
-//     latency, queue wait, batch size, model, status and shed reason;
+//     latency, queue wait, model, status and shed reason;
 //   - for a sampled fraction of requests (Config.TraceSample), records
 //     an obs span lane (request → queue → load → simulate) exportable
 //     as Chrome trace JSON.
@@ -82,7 +82,6 @@ type reqMeta struct {
 	start time.Time
 
 	queueWaitNs int64
-	batchSize   int
 	shedReason  string
 
 	span *obs.Span // non-nil only for sampled requests
@@ -101,12 +100,6 @@ func (m *reqMeta) setModel(id string) {
 	if m != nil {
 		m.model = id
 		m.span.SetArg("model", id)
-	}
-}
-
-func (m *reqMeta) setBatch(size int) {
-	if m != nil {
-		m.batchSize = size
 	}
 }
 
@@ -134,9 +127,6 @@ func (m *reqMeta) childSpan(name string) *obs.Span {
 	}
 	return m.span.Start(name)
 }
-
-// sampled reports whether this request records a trace span lane.
-func (m *reqMeta) sampled() bool { return m != nil && m.span != nil }
 
 // statusRecorder captures the response status and body size.
 type statusRecorder struct {
@@ -179,14 +169,6 @@ func statusClass(status int) string {
 	default:
 		return "5xx"
 	}
-}
-
-// boolLabel renders the batched label without allocating.
-func boolLabel(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
 }
 
 // newRequestID returns the next generated request ID:
@@ -244,10 +226,9 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 
 		latency := time.Since(m.start)
 		class := statusClass(rec.status)
-		batched := m.batchSize > 1
 		s.httpRequests.With(route, class).Add(1)
 		s.httpLatency.Observe(int64(latency))
-		s.requestLatency.With(route, m.model, class, boolLabel(batched)).Observe(int64(latency))
+		s.requestLatency.With(route, m.model, class).Observe(int64(latency))
 
 		if m.span != nil {
 			m.span.SetArg("status", class)
@@ -265,7 +246,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 				slog.Int("status", rec.status),
 				slog.Float64("latency_ms", float64(latency)/1e6),
 				slog.Float64("queue_wait_ms", float64(m.queueWaitNs)/1e6),
-				slog.Int("batch_size", m.batchSize),
 				slog.String("shed", m.shedReason),
 				slog.Int64("bytes_out", rec.bytes),
 			)

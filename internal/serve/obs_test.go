@@ -113,8 +113,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		`serve_http_requests_total{route="simulate",status="2xx"} 1`,
-		`serve_request_ns_bucket{route="simulate",model="path-a.json",status="2xx",batched="false",le="+Inf"} 1`,
-		`serve_request_ns_count{route="simulate",model="path-a.json",status="2xx",batched="false"} 1`,
+		`serve_request_ns_bucket{route="simulate",model="path-a.json",status="2xx",le="+Inf"} 1`,
+		`serve_request_ns_count{route="simulate",model="path-a.json",status="2xx"} 1`,
 		"serve_requests_total 1",
 		"# TYPE serve_http_request_ns histogram",
 	} {
@@ -144,8 +144,7 @@ func (sb *syncBuffer) String() string {
 
 // TestAccessLog checks the structured access-log line: one JSON record
 // per request whose request_id matches the response header and whose
-// fields report route, model, status, latency, queue wait and batch
-// size.
+// fields report route, model, status, latency and queue wait.
 func TestAccessLog(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -181,7 +180,7 @@ func TestAccessLog(t *testing.T) {
 	if rec["status"] != float64(200) {
 		t.Fatalf("access log status = %v", rec["status"])
 	}
-	for _, k := range []string{"latency_ms", "queue_wait_ms", "batch_size", "bytes_out"} {
+	for _, k := range []string{"latency_ms", "queue_wait_ms", "bytes_out"} {
 		if _, ok := rec[k]; !ok {
 			t.Fatalf("access log missing %q: %v", k, rec)
 		}

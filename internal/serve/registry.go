@@ -6,15 +6,13 @@
 //
 //   - Registry: a thread-safe warm model cache over a directory of
 //     artifacts, with lazy single-flight loading and LRU eviction;
-//   - batcher: request micro-batching for iBoxML replay, amortizing the
-//     LSTM weight streaming across concurrent requests (see
-//     iboxml.SimulateTraceBatch);
 //   - Server: the HTTP front door with admission control — bounded
-//     queue, load shedding, per-request deadlines, graceful drain.
+//     queue, load shedding, per-request deadlines, graceful drain — that
+//     runs every simulation as one job on a shared par.Pool.
 //
 // Serving is a faithful frontend to the offline code paths: a simulate
 // response is byte-identical to the equivalent core/iboxml call with the
-// same model, inputs and seed, whether or not the request was batched.
+// same model, inputs and seed.
 package serve
 
 import (

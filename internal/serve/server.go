@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,24 +31,9 @@ type Config struct {
 	// MaxModels bounds how many models stay warm (LRU beyond); default 16.
 	MaxModels int
 	// Workers sizes the shared simulation pool; default GOMAXPROCS. Every
-	// CPU-bound stage — batched or not — runs on this one pool, so
+	// CPU-bound stage runs on this one pool, one job per request, so
 	// concurrent requests cannot oversubscribe the cores.
 	Workers int
-	// BatchWindow is the micro-batch dispatch window; default 2ms.
-	BatchWindow time.Duration
-	// BatchMax flushes a batch early once this many requests joined it;
-	// default 16.
-	BatchMax int
-	// NoBatch disables micro-batching (each iBoxML replay simulates
-	// alone). Responses are byte-identical either way.
-	NoBatch bool
-	// BatchPerCheckpoint restricts micro-batch groups to requests for the
-	// same artifact, as before cross-checkpoint shape batching. By
-	// default requests co-batch whenever their models share a shape
-	// (architecture + window + kernel mode; see iboxml.Shape) even
-	// across distinct checkpoints. Responses are byte-identical in every
-	// mode; this is the A/B comparison knob (`ibox-bench -suite serve`).
-	BatchPerCheckpoint bool
 	// StreamChunk is the emission granularity of streaming replay
 	// (/v1/replay), in closed-loop windows per chunk; default 64.
 	StreamChunk int
@@ -115,12 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
 	if c.StreamChunk <= 0 {
 		c.StreamChunk = 64
 	}
@@ -171,8 +149,8 @@ type SimulateRequest struct {
 
 // SimulateResponse is the body of a successful POST /v1/simulate. Its
 // JSON encoding is byte-identical to encoding the offline simulation
-// result the same way — serving adds no fields that depend on timing,
-// batching, or concurrency (such diagnostics travel in headers).
+// result the same way — serving adds no fields that depend on timing or
+// concurrency (such diagnostics travel in headers).
 type SimulateResponse struct {
 	Model   string       `json:"model"`
 	Kind    Kind         `json:"kind"`
@@ -185,16 +163,11 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// batchSizeHeader reports how many requests shared the micro-batch that
-// produced this response (absent for non-batched paths).
-const batchSizeHeader = "X-Ibox-Batch-Size"
-
 // Server is the ibox-serve HTTP service.
 type Server struct {
 	cfg      Config
 	registry *Registry
 	pool     *par.Pool
-	batch    *batcher
 	mux      *http.ServeMux
 	http     *http.Server
 
@@ -214,7 +187,7 @@ type Server struct {
 	// Labeled families and flat aggregates recorded by the instrument
 	// middleware (access.go); nil when observability is disabled.
 	httpRequests   *obs.CounterVec   // {route, status class}
-	requestLatency *obs.HistogramVec // {route, model, status class, batched}
+	requestLatency *obs.HistogramVec // {route, model, status class}
 	shedByReason   *obs.CounterVec   // {reason}
 	httpLatency    *obs.Histogram    // all instrumented routes
 	queueWait      *obs.Histogram    // time waiting for an execution slot
@@ -265,12 +238,10 @@ func NewServer(cfg Config) (*Server, error) {
 	} else if !fi.IsDir() {
 		return nil, fmt.Errorf("serve: model dir %s is not a directory", cfg.ModelDir)
 	}
-	pool := par.NewPool(cfg.Workers)
 	s := &Server{
 		cfg:      cfg,
 		registry: NewRegistry(cfg.ModelDir, cfg.MaxModels),
-		pool:     pool,
-		batch:    newBatcher(pool, cfg.BatchWindow, cfg.BatchMax, cfg.StreamChunk, cfg.BatchPerCheckpoint),
+		pool:     par.NewPool(cfg.Workers),
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		idPrefix: newIDPrefix(),
@@ -292,7 +263,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.simulateHist = r.Histogram("serve.simulate_ns")
 		s.modelsHist = r.Histogram("serve.models_ns")
 		s.httpRequests = r.CounterVec("serve.http_requests", "route", "status")
-		s.requestLatency = r.HistogramVec("serve.request_ns", "route", "model", "status", "batched")
+		s.requestLatency = r.HistogramVec("serve.request_ns", "route", "model", "status")
 		s.shedByReason = r.CounterVec("serve.shed_reason", "reason")
 		s.httpLatency = r.Histogram("serve.http_request_ns")
 		s.queueWait = r.Histogram("serve.queue_wait_ns")
@@ -511,18 +482,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var out *trace.Trace
-	batchSize := 0
 	ssp := m.childSpan("simulate")
 	switch model.Kind {
 	case KindIBoxNet:
 		out, err = s.simulateNet(ctx, model, &req)
 	case KindIBoxML:
-		out, batchSize, err = s.simulateML(ctx, model, &req)
+		out, err = s.simulateML(ctx, model, &req)
 	default:
 		err = fmt.Errorf("serve: model %s has unknown kind %q", model.ID, model.Kind)
 	}
 	ssp.End()
-	m.setBatch(batchSize)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -536,9 +505,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/json")
-	if batchSize > 0 {
-		w.Header().Set(batchSizeHeader, strconv.Itoa(batchSize))
-	}
 	json.NewEncoder(w).Encode(SimulateResponse{
 		Model:   model.ID,
 		Kind:    model.Kind,
@@ -585,39 +551,32 @@ func (s *Server) simulateNet(ctx context.Context, model *Model, req *SimulateReq
 }
 
 // simulateML replays a send-side input trace through an iBoxML model —
-// exactly iboxml.SimulateTrace (or SimulateTraceHierarchical), micro-
-// batched with compatible concurrent requests unless disabled.
-func (s *Server) simulateML(ctx context.Context, model *Model, req *SimulateRequest) (*trace.Trace, int, error) {
+// exactly iboxml.SimulateTrace (or SimulateTraceHierarchical), as one
+// job on the shared pool.
+func (s *Server) simulateML(ctx context.Context, model *Model, req *SimulateRequest) (*trace.Trace, error) {
 	if req.Input == nil || len(req.Input.Packets) == 0 {
-		return nil, 0, fmt.Errorf("%w: iboxml model %s requires a non-empty \"input\" trace", errBadRequest, model.ID)
+		return nil, fmt.Errorf("%w: iboxml model %s requires a non-empty \"input\" trace", errBadRequest, model.ID)
 	}
 	if req.Protocol != "" {
-		return nil, 0, fmt.Errorf("%w: iboxml model %s takes \"input\", not \"protocol\"", errBadRequest, model.ID)
+		return nil, fmt.Errorf("%w: iboxml model %s takes \"input\", not \"protocol\"", errBadRequest, model.ID)
 	}
 	if err := req.Input.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", errBadRequest, err)
+		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	var out *trace.Trace
-	var batchSize int
-	var err error
-	switch {
-	case req.Hierarchical:
-		err = s.pool.Do(ctx, func() error {
+	err := s.pool.Do(ctx, func() error {
+		if req.Hierarchical {
 			out = model.ML.SimulateTraceHierarchical(req.Input, req.Seed)
-			return nil
-		})
-	case s.cfg.NoBatch:
-		err = s.pool.Do(ctx, func() error {
+		} else {
 			out = model.ML.SimulateTrace(req.Input, nil, req.Seed)
-			return nil
-		})
-	default:
-		out, batchSize, err = s.batch.submit(ctx, model.ID, model.ML, req.Input, req.Seed)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err == nil {
-		// The replay input carries the observed delays the model should
-		// reproduce — score a sampled fraction into the drift sketch.
-		s.maybeScoreDrift(ctx, model, req.Input)
-	}
-	return out, batchSize, err
+	// The replay input carries the observed delays the model should
+	// reproduce — score a sampled fraction into the drift sketch.
+	s.maybeScoreDrift(ctx, model, req.Input)
+	return out, nil
 }

@@ -441,6 +441,47 @@ func TestSessionSSEResume(t *testing.T) {
 	}
 }
 
+// TestSessionPathRejectsDegenerateScale: two bandwidth_scale 1e-300
+// mutations compound the session's scale to zero. The second must be
+// refused with 400 before it reaches the path, and the server — the
+// session included — must keep serving.
+func TestSessionPathRejectsDegenerateScale(t *testing.T) {
+	s, dir := newTestServer(t, nil)
+	writeNetModel(t, dir, "path-a.json")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, created := createSession(t, ts.URL, "", SessionRequest{
+		Model: "path-a.json", Protocol: "cubic", Seed: 1, Speed: 50, DurationS: 600,
+	})
+	if code != http.StatusCreated {
+		t.Fatalf("create status %d", code)
+	}
+	pathURL := ts.URL + "/v1/sessions/" + created.Session.ID + "/path"
+	tiny := json.RawMessage(`{"bandwidth_scale":1e-300}`)
+	if code, body := postJSON(t, pathURL, tiny); code != http.StatusOK {
+		t.Fatalf("first mutation: status %d: %s", code, body)
+	}
+	code, body := postJSON(t, pathURL, tiny)
+	if code != http.StatusBadRequest {
+		t.Fatalf("compounded-to-zero mutation: status %d, want 400: %s", code, body)
+	}
+	if !json.Valid(body) || !bytes.Contains(body, []byte(`"error"`)) {
+		t.Fatalf("not a JSON error body: %s", body)
+	}
+
+	code, info := getSession(t, ts.URL, created.Session.ID)
+	if code != http.StatusOK || info.State != "running" || info.Mutations != 1 {
+		t.Fatalf("session after rejected mutation: status %d, %+v", code, info)
+	}
+	if code, body := postJSON(t, pathURL, json.RawMessage(`{"bandwidth_scale":1e300}`)); code != http.StatusOK {
+		t.Fatalf("mutation after rejection: status %d: %s", code, body)
+	}
+	if code, _, body := postSimulate(t, ts.URL, SimulateRequest{Model: "path-a.json", Protocol: "cubic", DurationS: 0.2, Seed: 1}); code != http.StatusOK {
+		t.Fatalf("simulate after rejected mutation: status %d: %s", code, body)
+	}
+}
+
 // TestSessionCapsAndReaperE2E drives the per-tenant and global caps
 // through the HTTP front door, then lets the real idle-TTL reaper
 // expire the unwatched sessions and verifies every counter agrees.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ibox/internal/core"
+	"ibox/internal/iboxml"
 	"ibox/internal/obs"
 	"ibox/internal/trace"
 )
@@ -22,17 +23,18 @@ import (
 // whole reply. Responses are Server-Sent Events when the client sends
 // Accept: text/event-stream (frames: `event: windows` chunks, then one
 // terminal `event: end`), and newline-delimited JSON otherwise (objects
-// with "type": "windows"/"end"). Chunks flush on the lane-batch chunk
-// boundary (Config.StreamChunk windows), so a long trace's first
-// predictions arrive after a small fraction of the total compute — and
-// because cross-checkpoint lane batching advances every member in
-// lockstep (batcher.go), concurrent streams make fair incremental
-// progress instead of queueing behind each other's full replays.
+// with "type": "windows"/"end"). Each replay runs as one job on the
+// shared pool: a one-lane iboxml.SimulateTraceLanes unroll whose Emit
+// hands every Config.StreamChunk windows to the handler, so a long
+// trace's first predictions arrive after a small fraction of its total
+// compute. Streams do not share a job: when more streams are in flight
+// than the pool has workers, a queued stream's first chunk waits until a
+// worker finishes an earlier replay.
 //
 // Cancellation: when the client disconnects or its deadline expires, the
 // handler returns immediately — releasing its admission slot — and the
 // sink is closed, which makes the lane's next Emit fail and abandons the
-// rest of its unroll without touching the other members of the batch.
+// rest of its unroll.
 
 // ReplayRequest is the body of POST /v1/replay. Replay is iBoxML-only:
 // input is the send-side trace whose delays the model predicts.
@@ -58,13 +60,12 @@ type replayWindows struct {
 
 // replayEnd is the terminal frame of a successful stream.
 type replayEnd struct {
-	Type      string       `json:"type"`
-	Model     string       `json:"model"`
-	Kind      Kind         `json:"kind"`
-	Windows   int          `json:"windows"`
-	BatchSize int          `json:"batch_size"`
-	Metrics   core.Metrics `json:"metrics"`
-	Trace     *trace.Trace `json:"trace,omitempty"`
+	Type    string       `json:"type"`
+	Model   string       `json:"model"`
+	Kind    Kind         `json:"kind"`
+	Windows int          `json:"windows"`
+	Metrics core.Metrics `json:"metrics"`
+	Trace   *trace.Trace `json:"trace,omitempty"`
 }
 
 // replayError is the terminal frame of a stream that failed mid-flight
@@ -74,16 +75,16 @@ type replayError struct {
 	Error string `json:"error"`
 }
 
-// streamChunk is one emitted chunk queued between the batch lane and the
-// HTTP handler.
+// streamChunk is one emitted chunk queued between the replay lane and
+// the HTTP handler.
 type streamChunk struct {
 	t0        int
 	mu, sigma []float64
 }
 
-// streamSink carries chunks from a batch lane to its HTTP handler
-// without ever blocking the lockstep batch: push copies the chunk into a
-// queue under a mutex and nudges a 1-buffered notify channel. After
+// streamSink carries chunks from a replay lane to its HTTP handler
+// without ever blocking the unroll: push copies the chunk into a queue
+// under a mutex and nudges a 1-buffered notify channel. After
 // close (consumer gone), push reports false and the lane abandons the
 // rest of its unroll at the next chunk boundary.
 type streamSink struct {
@@ -221,12 +222,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 
 	ssp := m.childSpan("simulate")
 	defer ssp.End()
-	var res chan batchResult
-	if s.cfg.NoBatch {
-		res = s.batch.single(ctx, model.ID, model.ML, req.Input, req.Seed, sink)
-	} else {
-		res = s.batch.enqueue(ctx, model.ID, model.ML, req.Input, req.Seed, sink)
-	}
+	res := s.startReplay(ctx, model, &req, sink)
 
 	windows := 0
 	writeChunks := func() bool {
@@ -252,15 +248,15 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if r.err != nil {
-				if !errors.Is(r.err, errStreamClosed) {
+				// A request that gave up ends silently, as on ctx.Done.
+				if ctx.Err() == nil {
 					writeStreamFrame(w, rc, sse, "error", replayError{Type: "error", Error: r.err.Error()})
 				}
 				return
 			}
-			m.setBatch(r.size)
 			end := replayEnd{
 				Type: "end", Model: model.ID, Kind: model.Kind,
-				Windows: windows, BatchSize: r.size, Metrics: core.MetricsOf(r.out),
+				Windows: windows, Metrics: core.MetricsOf(r.out),
 			}
 			if req.IncludeTrace {
 				end.Trace = r.out
@@ -276,6 +272,38 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// replayResult is a finished replay: its sampled output trace, or the
+// error that kept the job from running.
+type replayResult struct {
+	out *trace.Trace
+	err error
+}
+
+// startReplay runs one streamed replay as a job on the shared pool: a
+// one-lane iboxml.SimulateTraceLanes unroll whose Emit pushes each chunk
+// into sink. The result channel is buffered so the job can finish after
+// the handler has returned. The lane's output is nil only when its Emit
+// failed, which happens only after the handler has returned and closed
+// the sink, so nobody reads that result.
+func (s *Server) startReplay(ctx context.Context, model *Model, req *ReplayRequest, sink *streamSink) <-chan replayResult {
+	res := make(chan replayResult, 1)
+	go func() {
+		var out *trace.Trace
+		err := s.pool.Do(ctx, func() error {
+			lane := []iboxml.ReplayLane{{Model: model.ML, Input: req.Input, Seed: req.Seed, Emit: sink.push}}
+			out = iboxml.SimulateTraceLanes(lane, s.cfg.StreamChunk)[0]
+			return nil
+		})
+		if err != nil {
+			// Do may return while the job still runs; out is not ours yet.
+			res <- replayResult{err: err}
+			return
+		}
+		res <- replayResult{out: out}
+	}()
+	return res
 }
 
 // writeStreamFrame writes one frame in the negotiated framing and

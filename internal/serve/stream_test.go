@@ -64,10 +64,34 @@ func parseSSE(t testing.TB, body []byte) []sseFrame {
 	return frames
 }
 
+// decodeReplaySSE decodes a complete SSE replay body into its frame
+// types, window chunks and end frame.
+func decodeReplaySSE(t testing.TB, body []byte) (types []string, chunks []replayWindows, end replayEnd) {
+	t.Helper()
+	for _, f := range parseSSE(t, body) {
+		types = append(types, f.Event)
+		switch f.Event {
+		case "windows":
+			var c replayWindows
+			if err := json.Unmarshal(f.Data, &c); err != nil {
+				t.Fatalf("chunk decode: %v", err)
+			}
+			chunks = append(chunks, c)
+		case "end":
+			if err := json.Unmarshal(f.Data, &end); err != nil {
+				t.Fatalf("end decode: %v", err)
+			}
+		default:
+			t.Fatalf("unexpected event %q", f.Event)
+		}
+	}
+	return types, chunks, end
+}
+
 // checkReplayChunks asserts the streaming conformance contract over a
 // decoded frame sequence: monotonically ordered contiguous chunks of the
 // configured size, exactly one terminal end frame, and window values
-// bitwise equal to the offline unbatched prediction (JSON round-trips
+// bitwise equal to the offline prediction (JSON round-trips
 // float64 exactly, so byte-level equality is checkable post-decode).
 func checkReplayChunks(t *testing.T, types []string, chunks []replayWindows, end replayEnd, chunkWin int, wantMu, wantSigma []float64) {
 	t.Helper()
@@ -102,13 +126,10 @@ func checkReplayChunks(t *testing.T, types []string, chunks []replayWindows, end
 	if end.Windows != len(wantMu) {
 		t.Fatalf("end frame reports %d windows, want %d", end.Windows, len(wantMu))
 	}
-	if end.BatchSize < 1 {
-		t.Fatalf("end frame reports batch size %d", end.BatchSize)
-	}
 	for w := range wantMu {
 		if math.Float64bits(mu[w]) != math.Float64bits(wantMu[w]) ||
 			math.Float64bits(sigma[w]) != math.Float64bits(wantSigma[w]) {
-			t.Fatalf("window %d: streamed (%v,%v) != offline unbatched (%v,%v)",
+			t.Fatalf("window %d: streamed (%v,%v) != offline (%v,%v)",
 				w, mu[w], sigma[w], wantMu[w], wantSigma[w])
 		}
 	}
@@ -137,29 +158,9 @@ func TestReplayStreamSSEConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := parseSSE(t, body)
-	if len(frames) < 3 {
-		t.Fatalf("got %d frames, want several chunks plus end", len(frames))
-	}
-	var types []string
-	var chunks []replayWindows
-	var end replayEnd
-	for _, f := range frames {
-		types = append(types, f.Event)
-		switch f.Event {
-		case "windows":
-			var c replayWindows
-			if err := json.Unmarshal(f.Data, &c); err != nil {
-				t.Fatalf("chunk decode: %v", err)
-			}
-			chunks = append(chunks, c)
-		case "end":
-			if err := json.Unmarshal(f.Data, &end); err != nil {
-				t.Fatalf("end decode: %v", err)
-			}
-		default:
-			t.Fatalf("unexpected event %q", f.Event)
-		}
+	types, chunks, end := decodeReplaySSE(t, body)
+	if len(types) < 3 {
+		t.Fatalf("got %d frames, want several chunks plus end", len(types))
 	}
 	wantMu, wantSigma := trainedML(t).PredictWindows(in, nil)
 	checkReplayChunks(t, types, chunks, end, chunkWin, wantMu, wantSigma)

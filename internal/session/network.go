@@ -8,6 +8,7 @@ import (
 	"ibox/internal/cc"
 	"ibox/internal/iboxml"
 	"ibox/internal/iboxnet"
+	"ibox/internal/netsim"
 	"ibox/internal/sim"
 	"ibox/internal/trace"
 )
@@ -174,10 +175,6 @@ func (s *Session) buildNetwork(rebuilds int) (cc.Network, error) {
 		if s.ml == nil {
 			return nil, fmt.Errorf("session: iboxml session has no model")
 		}
-		scale := 1.0
-		if s.bwScale > 0 {
-			scale = 1 / s.bwScale
-		}
 		var score func(pit, nll float64)
 		if s.cfg.Score != nil {
 			score = s.cfg.Score(s.checkpoint)
@@ -186,11 +183,32 @@ func (s *Session) buildNetwork(rebuilds int) (cc.Network, error) {
 			sched:      s.sched,
 			model:      s.ml,
 			h:          s.ml.NewHierarchical(seed),
-			delayScale: scale,
+			delayScale: 1 / s.bwScale,
 			score:      score,
 		}, nil
 	}
 	return nil, fmt.Errorf("session: unknown model kind %q", s.kind)
+}
+
+// checkPath reports whether the path a mutation would leave behind can
+// run: an iBoxNet path's scaled bottleneck rate must pass netsim's
+// checks, and an iBoxML path's delay scale (the reciprocal of the
+// bandwidth scale) must be finite and positive. Repeated scalings can
+// underflow to zero or overflow to infinity even when every single
+// factor is valid.
+func checkPath(kind string, net iboxnet.Params, bwScale float64) error {
+	switch kind {
+	case KindIBoxNet:
+		cfg := netsim.Config{Rate: net.Bandwidth * bwScale, BufferBytes: net.BufferBytes, PropDelay: net.PropDelay}
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("session: bandwidth scale %g leaves an invalid path: %w", bwScale, err)
+		}
+	case KindIBoxML:
+		if d := 1 / bwScale; !(d > 0) || math.IsInf(d, 1) {
+			return fmt.Errorf("session: bandwidth scale %g leaves delay scale %g, want finite and positive", bwScale, d)
+		}
+	}
+	return nil
 }
 
 // applyMutation executes one mutation inside the run goroutine, between
@@ -200,6 +218,18 @@ func (s *Session) buildNetwork(rebuilds int) (cc.Network, error) {
 // safe.
 func (s *Session) applyMutation(mu Mutation) (*AppliedMutation, error) {
 	if err := mu.validate(); err != nil {
+		return nil, err
+	}
+	// Check the resulting path before changing anything, so a rejected
+	// mutation leaves the session as it was.
+	kind, net, bwScale := s.kind, s.net, s.bwScale
+	if mu.Swap != nil {
+		kind, net = mu.Swap.Kind, mu.Swap.Net
+	}
+	if mu.BandwidthScale > 0 {
+		bwScale *= mu.BandwidthScale
+	}
+	if err := checkPath(kind, net, bwScale); err != nil {
 		return nil, err
 	}
 	applied := &AppliedMutation{}

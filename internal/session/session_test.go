@@ -402,6 +402,62 @@ func TestMutationValidation(t *testing.T) {
 	}
 }
 
+// TestMutateRejectsDegenerateCompoundedScale: each bandwidth_scale below
+// is valid alone, but repeated scaling compounds the session's scale to
+// zero (underflow), to infinity, or to a denormal whose reciprocal delay
+// scale is infinite. Such a mutation must be refused with an error and
+// leave the session running on its previous path, rather than panic on
+// the run goroutine while rebuilding the path.
+func TestMutateRejectsDegenerateCompoundedScale(t *testing.T) {
+	type step struct {
+		scale float64
+		ok    bool
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		steps []step
+	}{
+		{"iboxnet", Config{Kind: KindIBoxNet, Net: testNetParams()},
+			[]step{{1e-300, true}, {1e-300, false}, {1e300, true}, {1e300, true}, {1e300, false}, {0.5, true}}},
+		{"iboxml", Config{Kind: KindIBoxML, ML: trainedML(t)},
+			[]step{{1e-300, true}, {1e-300, false}, {1e-10, false}, {1e300, true}, {1e300, true}, {1e300, false}, {0.5, true}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.ID, cfg.Protocol, cfg.Seed = "scale-"+tc.name, "cubic", 1
+			cfg.Duration, cfg.Speed, cfg.RingSize = 600*sim.Second, 100, 1<<12
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer func() {
+				s.Close("test")
+				<-s.Done()
+			}()
+			applied := int64(0)
+			for i, st := range tc.steps {
+				err := s.Mutate(Mutation{BandwidthScale: st.scale})
+				if st.ok && err != nil {
+					t.Fatalf("step %d (×%g): %v", i, st.scale, err)
+				}
+				if !st.ok && err == nil {
+					t.Fatalf("step %d (×%g): degenerate compounded scale accepted", i, st.scale)
+				}
+				if err == nil {
+					applied++
+				}
+			}
+			if got := s.Info().Mutations; got != applied {
+				t.Fatalf("Mutations = %d, want %d (rejected mutations must not count)", got, applied)
+			}
+			if st := s.State(); st != Running {
+				t.Fatalf("state = %v after rejected mutations, want running", st)
+			}
+		})
+	}
+}
+
 // TestManagerCapsAndReaper exercises admission caps, idle-TTL reaping,
 // and drain.
 func TestManagerCapsAndReaper(t *testing.T) {
