@@ -2,23 +2,18 @@
 // paths and writes a machine-readable summary in the internal/regress
 // schema, so ibox-compare can gate on it in CI.
 //
-// Seven suites:
+// Six suites:
 //
 //   - experiments (default): serial-vs-parallel wall-clock of the two
 //     hottest experiment paths — the Fig 2 ensemble test (per-trace
 //     iBoxNet fit + counterfactual replay) and Table 1 (per-trace iBoxML
-//     training + evaluation). The parallel mode runs on the shared
-//     engine-wide par.Pool, as ibox-experiments does. Serial and
-//     parallel results are byte-identical by construction (see
-//     internal/par).
+//     training + evaluation). The parallel mode runs every fan-out on
+//     per-call par.Map at GOMAXPROCS workers, as ibox-experiments does.
+//     Serial and parallel results are byte-identical by construction
+//     (see internal/par).
 //   - serve: serving latency of concurrent iBoxML replay bursts through
 //     the full HTTP path (see internal/serve) on a single-worker pool,
 //     where every request runs as its own pool job.
-//   - nested: per-call par.Map vs shared par.Pool on the Fig 3 shape
-//     (variants × traces nested fan-outs) plus a synthetic nested tree,
-//     measuring what the help-first shared-pool scheduler buys when
-//     nested fan-outs would otherwise oversubscribe the cores. Both
-//     modes produce byte-identical experiment output.
 //   - kernel: the LSTM inference kernels themselves (internal/nn), per
 //     step: the training-path Step (the pre-kernel baseline), the
 //     compiled StepInto and the pre-projected window Forward — on a
@@ -50,7 +45,6 @@
 //	ibox-bench                         # quick scale, BENCH_parallel.json
 //	ibox-bench -scale paper -reps 5 -out bench.json
 //	ibox-bench -suite serve            # BENCH_serve.json
-//	ibox-bench -suite nested           # BENCH_nested.json
 //	ibox-bench -suite kernel           # BENCH_kernel.json
 //	ibox-bench -suite obs              # BENCH_obs.json
 //	ibox-bench -suite drift            # BENCH_drift.json
@@ -79,7 +73,6 @@ import (
 	"ibox/internal/iboxml"
 	"ibox/internal/nn"
 	"ibox/internal/obs"
-	"ibox/internal/par"
 	"ibox/internal/regress"
 	"ibox/internal/serve"
 	"ibox/internal/sim"
@@ -90,7 +83,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ibox-bench: ")
 	var (
-		suite     = flag.String("suite", "experiments", "benchmark suite: experiments, serve, nested, kernel, obs, drift or session")
+		suite     = flag.String("suite", "experiments", "benchmark suite: experiments, serve, kernel, obs, drift or session")
 		scaleName = flag.String("scale", "quick", "experiment scale: quick or paper (experiments suite)")
 		seed      = flag.Int64("seed", 1, "experiment seed")
 		reps      = flag.Int("reps", 5, "repetitions per (benchmark, mode); the minimum is reported")
@@ -110,11 +103,6 @@ func main() {
 			*out = "BENCH_serve.json"
 		}
 		sum = serveSuite(*seed, *reps)
-	case "nested":
-		if *out == "" {
-			*out = "BENCH_nested.json"
-		}
-		sum = nestedSuite(*seed, *reps)
 	case "kernel":
 		if *out == "" {
 			*out = "BENCH_kernel.json"
@@ -193,18 +181,13 @@ func experimentsSuite(scaleName string, seed int64, reps int) regress.BenchSumma
 			s := scale
 			s.Serial = m.serial
 			workers := 1
+			if !m.serial {
+				workers = runtime.GOMAXPROCS(0)
+				s.Workers = workers
+			}
 			// A fresh registry per measurement so the par.item_ns
 			// histogram covers exactly this (benchmark, mode)'s reps.
 			reg := obs.Enable()
-			// The parallel mode runs on a shared engine pool, exactly as
-			// ibox-experiments wires it, so the measured speedup is the
-			// deployed configuration rather than per-call goroutine pools.
-			var pool *par.Pool
-			if !m.serial {
-				workers = runtime.GOMAXPROCS(0)
-				pool = par.NewPool(workers)
-				s.Pool = pool
-			}
 			var min time.Duration
 			for r := 0; r < reps; r++ {
 				start := time.Now()
@@ -216,9 +199,6 @@ func experimentsSuite(scaleName string, seed int64, reps int) regress.BenchSumma
 				}
 			}
 			obs.Disable()
-			if pool != nil {
-				pool.Close()
-			}
 			best[b.name][m.mode] = min
 			meas := regress.BenchMeasurement{
 				Name: b.name, Mode: m.mode, Workers: workers,
@@ -687,158 +667,4 @@ func obsSuite(seed int64, reps int) regress.BenchSummary {
 		fmt.Printf("%-24s off/on     %12.2fx (1.00 = free; below 1 = overhead)\n", name, ratio)
 	}
 	return sum
-}
-
-// nestedSuite measures nested fan-outs — the shape where the shared
-// help-first pool earns its keep — in two modes:
-//
-//   - percall: every par.Map spins up its own goroutine pool, so a
-//     variants × traces nesting oversubscribes the cores (the pre-pool
-//     behaviour).
-//   - pool: every par.Map runs on one shared par.Pool via par.PoolMap;
-//     saturated nested submissions are inlined on the submitting worker,
-//     so concurrency never exceeds the worker budget.
-//
-// Two benchmarks: Fig3Nested is the real Fig 3 pipeline (per-variant
-// ensemble tests, each fanning out per-trace), SynthTree is a synthetic
-// depth-3 fan-out tree that isolates scheduler overhead from model
-// compute. Each benchmark's output is asserted byte-identical across
-// modes before its timings are reported.
-func nestedSuite(seed int64, reps int) regress.BenchSummary {
-	scale := experiments.Quick()
-	scale.Seed = seed
-	workers := runtime.GOMAXPROCS(0)
-
-	sum := regress.BenchSummary{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Scale:      "nested",
-		Seed:       seed,
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Speedups:   map[string]float64{},
-	}
-	modes := []struct {
-		mode   string
-		shared bool
-	}{
-		{"percall", false},
-		{"pool", true},
-	}
-	benchmarks := []struct {
-		name string
-		run  func(pool *par.Pool) (string, error)
-	}{
-		{"Fig3Nested", func(pool *par.Pool) (string, error) {
-			s := scale
-			s.Pool = pool
-			res, err := experiments.Fig3(s)
-			if err != nil {
-				return "", err
-			}
-			return res.String(), nil
-		}},
-		{"SynthTree", func(pool *par.Pool) (string, error) {
-			return synthTree(pool, seed)
-		}},
-	}
-
-	for _, b := range benchmarks {
-		best := map[string]time.Duration{}
-		outputs := map[string]string{}
-		for _, m := range modes {
-			reg := obs.Enable()
-			var pool *par.Pool
-			if m.shared {
-				pool = par.NewPool(workers)
-			}
-			var min time.Duration
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				o, err := b.run(pool)
-				if err != nil {
-					log.Fatalf("%s/%s: %v", b.name, m.mode, err)
-				}
-				if d := time.Since(start); r == 0 || d < min {
-					min = d
-				}
-				outputs[m.mode] = o
-			}
-			inlined := reg.Counter("par.pool_inline").Value()
-			obs.Disable()
-			if pool != nil {
-				pool.Close()
-			}
-			best[m.mode] = min
-			meas := regress.BenchMeasurement{
-				Name: b.name, Mode: m.mode, Workers: workers,
-				GoMaxProcs: runtime.GOMAXPROCS(0),
-				NsPerOp:    min.Nanoseconds(), Seconds: min.Seconds(), Reps: reps,
-			}
-			if h := reg.Histogram(obs.MetricParItemNs); h.Count() > 0 {
-				summ := h.Summary()
-				meas.ItemLatency = &summ
-			}
-			sum.Benchmarks = append(sum.Benchmarks, meas)
-			fmt.Printf("%-14s %-8s %12d ns/op  (%.2fs, workers=%d",
-				b.name, m.mode, min.Nanoseconds(), min.Seconds(), workers)
-			if m.shared {
-				fmt.Printf(", inlined=%d", inlined)
-			}
-			fmt.Printf(")\n")
-		}
-		if outputs["pool"] != outputs["percall"] {
-			log.Fatalf("%s: pool output differs from percall output", b.name)
-		}
-		if p := best["pool"]; p > 0 {
-			speedup := float64(best["percall"]) / float64(p)
-			sum.Speedups[b.name] = speedup
-			fmt.Printf("%-14s speedup  %12.2fx\n", b.name, speedup)
-		}
-	}
-	return sum
-}
-
-// synthTree runs a deterministic depth-3 nested fan-out (4 × 4 × 8
-// leaves, a fixed slug of floating-point work per leaf) through par.Map
-// and returns a digest of the results, so nestedSuite can assert the
-// scheduler modes are byte-identical. With pool == nil each level's Map
-// spawns its own goroutines (4·4·8 = 128 in flight at the leaves); with
-// a shared pool, concurrency is capped at the pool's workers.
-func synthTree(pool *par.Pool, seed int64) (string, error) {
-	opts := par.Options{Pool: pool}
-	top, err := par.Map(4, opts, func(i int) (float64, error) {
-		mids, err := par.Map(4, opts, func(j int) (float64, error) {
-			leaves, err := par.Map(8, opts, func(k int) (float64, error) {
-				x := float64(seed) + float64(i*100+j*10+k)
-				s := 0.0
-				for n := 0; n < 20_000; n++ {
-					s += math.Sin(x + float64(n))
-				}
-				return s, nil
-			})
-			if err != nil {
-				return 0, err
-			}
-			t := 0.0
-			for _, v := range leaves {
-				t += v
-			}
-			return t, nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		t := 0.0
-		for _, v := range mids {
-			t += v
-		}
-		return t, nil
-	})
-	if err != nil {
-		return "", err
-	}
-	total := 0.0
-	for _, v := range top {
-		total += v
-	}
-	return fmt.Sprintf("%.6f", total), nil
 }

@@ -32,7 +32,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -119,23 +118,6 @@ func main() {
 	scale.Serial = *serial
 	scale.Workers = *workers
 
-	// One engine-wide worker pool for every fan-out in the process: the
-	// per-experiment nested maps (variants × traces, train/eval) and the
-	// -parallel whole-figure fan-out all share its concurrency budget
-	// instead of each par.Map spinning up its own goroutines (see
-	// par.PoolMap for the help-first nested-submission scheduler).
-	// -serial bypasses it entirely.
-	var enginePool *par.Pool
-	if !*serial {
-		w := *workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		enginePool = par.NewPool(w)
-		defer enginePool.Close()
-		scale.Pool = enginePool
-	}
-
 	type experiment struct {
 		name string
 		run  func(experiments.Scale) (fmt.Stringer, error)
@@ -181,7 +163,7 @@ func main() {
 	// of each experiment's internal fan-out) but results are collected and
 	// printed in the canonical order, so the output is identical to a
 	// sequential invocation.
-	expOpts := par.Options{Serial: !*parallel, Workers: *workers, Pool: enginePool}
+	expOpts := par.Options{Serial: !*parallel, Workers: *workers}
 	type outcome struct {
 		res     fmt.Stringer
 		err     error

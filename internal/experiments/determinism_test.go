@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ibox/internal/obs"
-	"ibox/internal/par"
 	"ibox/internal/sim"
 )
 
@@ -169,16 +168,11 @@ func TestFig3SerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestSharedPoolSerialIdentical is the scheduler half of the determinism
-// contract: running an experiment's fan-outs on one shared engine pool
-// (nested maps dispatched help-first through par.PoolMap, exactly as
-// ibox-experiments wires it) must produce output byte-identical to a
-// single-goroutine run. All four experiments with nested fan-outs share
-// ONE pool across subtests, so later experiments run against a pool
-// that earlier ones already exercised — the deployment shape.
-func TestSharedPoolSerialIdentical(t *testing.T) {
-	pool := par.NewPool(8)
-	defer pool.Close()
+// TestNestedSerialParallelIdentical covers the experiments whose
+// fan-outs nest (variants × traces, train/eval): running every level on
+// per-call par.Map at Workers: 8 must produce output byte-identical to a
+// single-goroutine run.
+func TestNestedSerialParallelIdentical(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		run  func(Scale) (fmt.Stringer, error)
@@ -195,40 +189,19 @@ func TestSharedPoolSerialIdentical(t *testing.T) {
 			}
 			serial := tinyScale()
 			serial.Serial = true
-			pooled := tinyScale()
-			pooled.Pool = pool
+			parallel := tinyScale()
+			parallel.Workers = 8
 			rs, err := e.run(serial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rp, err := e.run(pooled)
+			rp, err := e.run(parallel)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got, want := rp.String(), rs.String(); got != want {
-				t.Errorf("shared-pool %s output differs from serial:\n--- serial ---\n%s\n--- pool ---\n%s", e.name, want, got)
+				t.Errorf("parallel %s output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", e.name, want, got)
 			}
 		})
-	}
-}
-
-// TestSharedPoolRoutesFanouts proves Scale.Pool actually routes the
-// fan-outs through the pool (a silently ignored Pool field would make
-// TestSharedPoolSerialIdentical pass vacuously).
-func TestSharedPoolRoutesFanouts(t *testing.T) {
-	if obs.Enabled() {
-		t.Fatal("obs registry unexpectedly installed at test start")
-	}
-	obs.Enable()
-	defer obs.Disable()
-	pool := par.NewPool(4)
-	defer pool.Close()
-	s := tinyScale()
-	s.Pool = pool
-	if _, err := Table1(s); err != nil {
-		t.Fatal(err)
-	}
-	if n := obs.Get().Counter("par.pool_maps").Value(); n == 0 {
-		t.Error("pooled Table1 run dispatched no PoolMap calls — Options.Pool routing broken?")
 	}
 }

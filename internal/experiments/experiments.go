@@ -26,7 +26,9 @@ import (
 
 // Scale controls how much data and compute an experiment uses. The Quick
 // scale keeps every experiment in CI-friendly territory; Paper approaches
-// the paper's data sizes (minutes of CPU).
+// the paper's data sizes (minutes of CPU). Serial and Workers only choose
+// how the per-trace fan-outs run (per-call par.Map); the output is
+// byte-identical either way.
 type Scale struct {
 	// EnsembleTraces is the number of corpus instances for Figs 2–3.
 	EnsembleTraces int
@@ -48,26 +50,19 @@ type Scale struct {
 	Seed int64
 	// Serial disables the per-trace fan-out (results are byte-identical
 	// either way; the knob exists for determinism tests and paired
-	// benchmarks). Serial also bypasses Pool.
+	// benchmarks).
 	Serial bool
-	// Workers bounds the fan-out width; 0 means one worker per CPU.
-	// Ignored when Pool is set.
+	// Workers bounds the width of each fan-out; 0 means one worker per
+	// CPU. Every par.Map call in an experiment owns its workers, so a
+	// nested fan-out (Fig 3's variants × traces) bounds each level
+	// separately.
 	Workers int
-	// Pool, when non-nil, runs every fan-out in the experiment — the
-	// corpus generation, the per-variant and per-trace maps, the model
-	// trainings — on one shared engine-wide worker pool instead of
-	// per-call goroutine pools, so nested fan-outs (Fig 3's variants ×
-	// traces) share a single concurrency budget rather than
-	// oversubscribing the cores. Results are byte-identical with or
-	// without it (see par.PoolMap); ibox-experiments and ibox-bench own
-	// the pool and set it here.
-	Pool *par.Pool
 }
 
 // Par resolves the scale's execution options for the par fan-out
 // primitive.
 func (s Scale) Par() par.Options {
-	return par.Options{Serial: s.Serial, Workers: s.Workers, Pool: s.Pool}
+	return par.Options{Serial: s.Serial, Workers: s.Workers}
 }
 
 // Quick returns a scale that runs every experiment in seconds.

@@ -210,24 +210,6 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// SetMax raises the gauge to v if v exceeds the current value (a
-// running-maximum gauge, e.g. the deepest nested fan-out observed).
-// No-op on a nil handle.
-func (g *Gauge) SetMax(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if floatFromBits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, floatBits(v)) {
-			return
-		}
-	}
-}
-
 // Value reads the gauge; 0 on a nil handle.
 func (g *Gauge) Value() float64 {
 	if g == nil {

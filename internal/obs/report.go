@@ -21,14 +21,6 @@ type Report struct {
 	// every worker was busy for every dispatched Map's full duration; 0
 	// when nothing fanned out.
 	WorkerUtilization float64 `json:"worker_utilization"`
-	// PoolUtilization is the shared engine pool's occupancy: Σ per-job
-	// worker occupancy (par.pool_busy_ns, which counts Do jobs, PoolMap
-	// dispatch frames and dispatched sub-jobs) over run wall ×
-	// par.pool_workers. 0 when no shared pool was used. Occupancy of a
-	// dispatch frame includes the tail where it waits on its dispatched
-	// items, because that worker slot is genuinely consumed — this is
-	// utilization of the concurrency budget, not pure compute time.
-	PoolUtilization float64 `json:"pool_utilization"`
 	// Stages lists every finished span in start order; Depth > 0 marks a
 	// child stage of the nearest preceding shallower stage.
 	Stages []StageReport `json:"stages"`
@@ -62,9 +54,7 @@ type StageReport struct {
 const (
 	MetricParItemNs     = "par.item_ns"
 	MetricParCapacityNs = "par.capacity_ns"
-	// MetricPoolBusyNs is per-job worker occupancy on the shared
-	// par.Pool; BuildReport derives PoolUtilization from it and the
-	// par.pool_workers gauge.
+	// MetricPoolBusyNs is per-job worker occupancy on a par.Pool.
 	MetricPoolBusyNs = "par.pool_busy_ns"
 )
 
@@ -84,10 +74,6 @@ func (r *Registry) BuildReport() Report {
 	}
 	if capNs := snap.Counters[MetricParCapacityNs]; capNs > 0 {
 		rep.WorkerUtilization = float64(r.Histogram(MetricParItemNs).Sum()) / float64(capNs)
-	}
-	if w := snap.Gauges["par.pool_workers"]; w > 0 && rep.WallSeconds > 0 {
-		rep.PoolUtilization = float64(r.Histogram(MetricPoolBusyNs).Sum()) /
-			(rep.WallSeconds * 1e9 * w)
 	}
 	rep.Fidelity = r.FidelityRecords()
 	for _, sp := range r.finishedSpans() {

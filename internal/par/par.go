@@ -23,6 +23,12 @@
 // The Serial and Workers knobs exist so experiments can assert
 // serial ≡ parallel equality in tests and so benchmarks can measure the
 // speedup rather than claim it.
+//
+// Each Map call owns its workers, so nested fan-outs (Fig 3's variants ×
+// traces) simply nest: an inner Map bounds only its own width, and the
+// Go scheduler multiplexes the goroutines onto GOMAXPROCS threads. The
+// one long-lived scheduler is Pool, which ibox-serve uses to run each
+// request or session tick as a single Do job.
 package par
 
 import (
@@ -79,19 +85,11 @@ func logItemError(i int, err error) {
 type Options struct {
 	// Serial forces in-place execution on the calling goroutine (exactly
 	// equivalent to a plain loop). It exists for A/B determinism tests
-	// and benchmarks; results are identical either way. Serial bypasses
-	// Pool entirely.
+	// and benchmarks; results are identical either way.
 	Serial bool
 	// Workers bounds the number of concurrent goroutines. Zero or
-	// negative selects runtime.GOMAXPROCS(0). Ignored when Pool is set —
-	// the pool's width is the budget.
+	// negative selects runtime.GOMAXPROCS(0).
 	Workers int
-	// Pool, when non-nil (and Serial is false), runs the fan-out on this
-	// shared worker pool via PoolMap instead of spawning per-call
-	// goroutines, so nested fan-outs across an entire process share one
-	// concurrency budget. Results are byte-identical to the per-call
-	// path — only scheduling changes.
-	Pool *Pool
 }
 
 // WorkersFor resolves the effective worker count for n work items.
@@ -121,9 +119,6 @@ func (o Options) WorkersFor(n int) int {
 func Map[R any](n int, opts Options, fn func(i int) (R, error)) ([]R, error) {
 	if n <= 0 {
 		return nil, nil
-	}
-	if opts.Pool != nil && !opts.Serial {
-		return PoolMap(opts.Pool, n, fn)
 	}
 	out := make([]R, n)
 	workers := opts.WorkersFor(n)

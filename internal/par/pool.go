@@ -3,24 +3,19 @@ package par
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ibox/internal/obs"
 )
 
-// Pool is a long-lived shared worker pool for engine-wide concurrency
-// budgeting. Map/ForEach spin up goroutines per call, which is right for
-// one-shot batch scripts; a long-running process instead owns ONE Pool
-// sized to the machine and funnels every CPU-bound job through it, so
-// concurrent requests — and any nested fan-outs they trigger — share a
-// single concurrency budget instead of oversubscribing the cores. The
-// serving path submits individual jobs with Do; the offline experiment
-// drivers run whole fan-outs on the pool with PoolMap (reached through
-// Options.Pool), whose help-first nested submission keeps recursive
-// fan-outs deadlock-free (see PoolMap).
+// Pool is a long-lived worker pool for a process that serves many
+// independent jobs, such as ibox-serve's requests and live-session
+// ticks. Map/ForEach spin up goroutines per call, which is right for
+// the offline drivers' fan-outs; a daemon instead owns ONE Pool sized to
+// the machine and submits every CPU-bound job to it with Do, so
+// concurrent requests share a single concurrency budget and a job that
+// waits for a worker is visible in par.pool_queue / par.pool_wait_ns.
 //
 // Determinism note: a Pool schedules *independent* jobs; each job's
 // result must depend only on its own inputs (the same contract as Map).
@@ -31,58 +26,20 @@ type Pool struct {
 	jobs    chan poolJob
 	workers int
 
-	// workerIDs maps each worker goroutine's runtime id to its state.
-	// Populated before NewPool returns and never mutated afterwards, so
-	// PoolMap's am-I-on-a-worker lookup is a lock-free map read.
-	workerIDs map[uint64]*workerState
-
 	mu     sync.Mutex
 	closed bool
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	queued   *obs.Gauge     // jobs submitted but not yet picked up
-	wait     *obs.Histogram // submit → pickup latency, ns
-	jobsC    *obs.Counter   // jobs executed by workers
-	busy     *obs.Histogram // per-job worker occupancy, ns (see PoolUtilization)
-	maps     *obs.Counter   // PoolMap calls (deterministic in the workload)
-	inlined  *obs.Counter   // items run inline by their own dispatcher
-	depthMax *obs.Gauge     // deepest nested PoolMap observed
-}
-
-// workerState is scheduler state owned by exactly one worker goroutine:
-// it is only ever read or written by the goroutine it belongs to (the
-// worker sets depth around each job; a dispatcher running *on* that
-// worker adjusts it around inline help).
-type workerState struct {
-	// depth is the PoolMap nesting depth of the frame the worker is
-	// currently executing: 0 for a plain Do job, d for a sub-job
-	// dispatched by a depth-d PoolMap.
-	depth int
+	queued *obs.Gauge     // jobs submitted but not yet picked up
+	wait   *obs.Histogram // submit → pickup latency, ns
+	jobsC  *obs.Counter   // jobs executed by workers
+	busy   *obs.Histogram // per-job worker occupancy, ns
 }
 
 type poolJob struct {
-	fn    func()
-	enq   time.Time
-	inst  bool
-	depth int // PoolMap nesting depth of this job; 0 for Do jobs
-}
-
-// goroutineID parses the current goroutine's id from its stack header
-// ("goroutine 123 [running]: …"). The same trick the net/http2 goroutine
-// tracker uses; ~1 µs, paid once per PoolMap call (never per item).
-func goroutineID() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	id := uint64(0)
-	for _, c := range buf[prefix:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
+	fn  func()
+	enq time.Time
 }
 
 // ErrPoolClosed is returned by Do after Close.
@@ -95,10 +52,9 @@ func NewPool(workers int) *Pool {
 		workers = 1
 	}
 	p := &Pool{
-		jobs:      make(chan poolJob),
-		workers:   workers,
-		workerIDs: make(map[uint64]*workerState, workers),
-		done:      make(chan struct{}),
+		jobs:    make(chan poolJob),
+		workers: workers,
+		done:    make(chan struct{}),
 	}
 	if r := obs.Get(); r != nil {
 		r.Gauge("par.pool_workers").Set(float64(workers))
@@ -106,24 +62,12 @@ func NewPool(workers int) *Pool {
 		p.wait = r.Histogram("par.pool_wait_ns")
 		p.jobsC = r.Counter("par.pool_jobs")
 		p.busy = r.Histogram(obs.MetricPoolBusyNs)
-		p.maps = r.Counter("par.pool_maps")
-		p.inlined = r.Counter("par.pool_inline")
-		p.depthMax = r.Gauge("par.pool_depth_max")
 	}
-	// Workers register their goroutine ids before NewPool returns, so
-	// workerIDs is immutable (and safely lock-free) from then on.
-	var registered sync.WaitGroup
-	registered.Add(workers)
-	var regMu sync.Mutex
+	inst := p.queued != nil
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			ws := &workerState{}
-			regMu.Lock()
-			p.workerIDs[goroutineID()] = ws
-			regMu.Unlock()
-			registered.Done()
 			for {
 				// jobs is unbuffered, so nothing can be stranded inside
 				// the channel at shutdown: every submitted job is either
@@ -131,30 +75,22 @@ func NewPool(workers int) *Pool {
 				// sees done and returns ErrPoolClosed.
 				select {
 				case j := <-p.jobs:
-					if j.inst {
-						p.wait.Observe(int64(time.Since(j.enq)))
-						p.queued.Add(-1)
+					if !inst {
+						j.fn()
+						continue
 					}
-					ws.depth = j.depth
-					var t0 time.Time
-					if p.busy != nil {
-						t0 = time.Now()
-					}
+					t0 := time.Now()
+					p.wait.Observe(int64(t0.Sub(j.enq)))
+					p.queued.Add(-1)
 					j.fn()
-					if p.busy != nil {
-						p.busy.ObserveSince(t0)
-					}
-					ws.depth = 0
-					if j.inst {
-						p.jobsC.Add(1)
-					}
+					p.busy.ObserveSince(t0)
+					p.jobsC.Add(1)
 				case <-p.done:
 					return
 				}
 			}
 		}()
 	}
-	registered.Wait()
 	return p
 }
 
@@ -174,7 +110,7 @@ func (p *Pool) Do(ctx context.Context, fn func() error) error {
 		p.queued.Add(1)
 	}
 	ran := make(chan error, 1)
-	j := poolJob{enq: enq, inst: inst, fn: func() {
+	j := poolJob{enq: enq, fn: func() {
 		// The submitter may have given up (ctx expired after pickup);
 		// the buffered channel lets the job finish regardless.
 		ran <- fn()
@@ -198,151 +134,6 @@ func (p *Pool) Do(ctx context.Context, fn func() error) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// PoolMap applies fn to every index in [0, n) on the shared pool p, with
-// exactly Map's contract: results land in input order (out[i] = fn(i)),
-// a failure returns a nil slice and the error of the lowest failing
-// index, and after a failure no new items are dispatched. It would be a
-// method named Pool.Map if Go allowed generic methods; Options.Pool lets
-// existing par.Map call sites route here without changing shape.
-//
-// Scheduling is help-first: execution rights belong exclusively to the
-// pool's worker goroutines, so at most Workers() items run at any
-// moment, no matter how deeply Maps nest.
-//
-//   - A caller that is NOT a pool worker first enters the pool (Do),
-//     so its dispatch loop itself occupies a worker slot. It holds no
-//     slot while waiting, so entry can always be granted.
-//   - The dispatcher offers each item to the pool with a non-blocking
-//     send on the unbuffered job channel. A successful send proves a
-//     parked worker received the item and is running it right now —
-//     nothing is ever queued — and when no worker is free the
-//     dispatcher runs the item inline on its own goroutine (helping
-//     first with its own work rather than blocking on a channel no one
-//     may ever drain).
-//
-// Deadlock-freedom follows: blocking happens only (a) at pool entry,
-// where the caller holds no worker, and (b) waiting for dispatched
-// items, each of which is actively running on some worker; wait-for
-// edges only point parent → child, and the nesting is finite. The
-// budget follows from execution rights: there are exactly Workers()
-// worker goroutines, each runs one frame at a time, and a parent paused
-// inside a nested PoolMap is executing only through its inline child.
-//
-// Byte-determinism is Map's: out[i] depends only on fn(i), so whether an
-// item ran inline, on worker 3, or after its siblings is unobservable in
-// the results as long as items derive any randomness from their index
-// before dispatch (the repository's seed-derivation rule).
-func PoolMap[R any](p *Pool, n int, fn func(i int) (R, error)) ([]R, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if p == nil {
-		return Map(n, Options{}, fn)
-	}
-	if ws := p.workerIDs[goroutineID()]; ws != nil {
-		// Already on a pool worker: dispatch directly, nested one deeper.
-		return poolMapDispatch(p, ws, n, fn)
-	}
-	// External caller: enter the pool so the dispatch loop itself holds a
-	// worker slot (the concurrency budget stays ≤ Workers()), then
-	// dispatch from inside. Do returns ErrPoolClosed after Close.
-	var out []R
-	var err error
-	if doErr := p.Do(context.Background(), func() error {
-		out, err = poolMapDispatch(p, p.workerIDs[goroutineID()], n, fn)
-		return nil
-	}); doErr != nil {
-		return nil, doErr
-	}
-	return out, err
-}
-
-// poolMapDispatch is PoolMap's dispatch loop. It always runs on a pool
-// worker goroutine; ws is that worker's state.
-func poolMapDispatch[R any](p *Pool, ws *workerState, n int, fn func(i int) (R, error)) ([]R, error) {
-	depth := ws.depth + 1
-	m := parMetrics(p.workers)
-	instrumented := m.items != nil
-	if instrumented {
-		p.maps.Add(1)
-		p.depthMax.SetMax(float64(depth))
-		mapStart := time.Now()
-		defer func() {
-			m.capacity.Add(int64(time.Since(mapStart)) * int64(p.workers))
-		}()
-	}
-
-	out := make([]R, n)
-	var (
-		wg       sync.WaitGroup
-		failed   atomic.Bool
-		failMu   sync.Mutex
-		firstIdx int
-		firstErr error
-	)
-	record := func(i int, err error) {
-		logItemError(i, err)
-		failed.Store(true)
-		failMu.Lock()
-		if firstErr == nil || i < firstIdx {
-			firstIdx, firstErr = i, err
-		}
-		failMu.Unlock()
-	}
-	runItem := func(i int) {
-		var t0 time.Time
-		if instrumented {
-			t0 = time.Now()
-		}
-		r, err := fn(i)
-		if instrumented {
-			m.busy.ObserveSince(t0)
-			m.items.Add(1)
-		}
-		if err != nil {
-			record(i, err)
-			return
-		}
-		out[i] = r
-	}
-
-	for i := 0; i < n; i++ {
-		if failed.Load() {
-			// Same stop rule as Map: dispatch is in input order, so every
-			// index below the eventual lowest failure has already been
-			// dispatched (or inlined) and runs to completion.
-			break
-		}
-		wg.Add(1)
-		j := poolJob{depth: depth, fn: func() { defer wg.Done(); runItem(i) }}
-		if instrumented {
-			j.inst, j.enq = true, time.Now()
-			p.queued.Add(1)
-		}
-		select {
-		case p.jobs <- j:
-			// Rendezvous on the unbuffered channel: a parked worker has the
-			// item and is running it now.
-		default:
-			// All workers saturated — help first: run the item here, at the
-			// child depth, on this worker's own goroutine.
-			wg.Done()
-			if instrumented {
-				p.queued.Add(-1)
-				p.inlined.Add(1)
-			}
-			ws.depth = depth
-			runItem(i)
-			ws.depth = depth - 1
-		}
-	}
-	wg.Wait()
-	if failed.Load() {
-		return nil, firstErr
-	}
-	return out, nil
 }
 
 // Close stops accepting jobs and waits for in-flight ones to finish.

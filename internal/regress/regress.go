@@ -68,18 +68,17 @@ func DefaultThresholds() Thresholds {
 		Count:            0,
 		Fidelity:         0.10,
 		Skip: []string{
-			"gomaxprocs", "worker_utilization", "pool_utilization",
+			"gomaxprocs", "worker_utilization",
 			"par.workers", "par.queue_wait",
-			// Shared-pool scheduler metrics: the inline/dispatched split,
-			// queue depths and nesting high-water marks depend on
-			// scheduling timing, not on the work done, so none of them can
-			// gate (the deterministic work counts gate via par.items and
-			// par.map_calls instead).
+			// par.Pool metrics: queue depths, waits and per-job occupancy
+			// depend on scheduling timing, not on the work done, so none
+			// of them can gate (the deterministic work counts gate via
+			// par.items and par.map_calls instead).
 			"par.pool",
 			// Rolling-window serving gauges (serve.win.*): rates and
 			// windowed quantiles measure the recent past of one process on
 			// one machine — machine- and timing-dependent by construction,
-			// like pool_utilization. The cumulative serve.* counters and
+			// like worker_utilization. The cumulative serve.* counters and
 			// histograms they are derived from gate normally.
 			"serve.win",
 			// SLO burn rates and drift scorecards: derived from the same
@@ -307,7 +306,6 @@ func reportMetrics(rep *obs.Report) map[string]metric {
 	add("wall_seconds", rep.WallSeconds, classTime, 1)
 	add("gomaxprocs", float64(rep.GoMaxProcs), classInfo, 1)
 	add("worker_utilization", rep.WorkerUtilization, classInfo, 1)
-	add("pool_utilization", rep.PoolUtilization, classInfo, 1)
 
 	// Stage wall times, keyed by span path. Duplicate paths (a stage that
 	// ran more than once, e.g. under -parallel) accumulate.

@@ -141,7 +141,10 @@ type Config struct {
 	Score func(model string) func(pit, nll float64)
 
 	// OnClose fires once, from the run goroutine, after the session
-	// reaches a terminal state (the Manager uses it to unregister).
+	// reaches a terminal state and before Done() is closed, so a caller
+	// that waits on Done() sees its effects (the Manager uses it to
+	// unregister, which frees the id for an immediate re-Create). It
+	// must not wait on Done().
 	OnClose func(*Session)
 
 	// onEvent and onMutate are the Manager's metric taps.
@@ -456,10 +459,10 @@ func (s *Session) expire(now time.Time, ttl time.Duration) {
 func (s *Session) run() {
 	defer func() {
 		s.ring.closeRing()
-		close(s.done)
 		if s.cfg.OnClose != nil {
 			s.cfg.OnClose(s)
 		}
+		close(s.done)
 	}()
 
 	s.emitState(Running, "created")

@@ -596,6 +596,37 @@ func TestManagerCreateDuplicateIDRace(t *testing.T) {
 	<-s2.Done()
 }
 
+// TestManagerCloseThenRecreate pins the close ordering: once Done() is
+// closed, the Manager has already unregistered the session, so its id
+// is free for an immediate re-Create.
+func TestManagerCloseThenRecreate(t *testing.T) {
+	m := NewManager(Limits{MaxSessions: 4, TTL: -1}, nil)
+	defer m.Shutdown()
+	cfg := Config{
+		ID: "x", Kind: KindIBoxNet, Net: testNetParams(),
+		Protocol: "cubic", Seed: 1, Duration: 300 * sim.Second, Speed: 0.01,
+	}
+	for i := 0; i < 2000; i++ {
+		s, err := m.Create(cfg)
+		if err != nil {
+			t.Fatalf("cycle %d: create: %v", i, err)
+		}
+		if err := s.Close("test"); err != nil {
+			t.Fatalf("cycle %d: close: %v", i, err)
+		}
+		<-s.Done()
+		if _, err := m.Get("x"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("cycle %d: Get after Done = %v, want ErrNotFound", i, err)
+		}
+	}
+	s, err := m.Create(cfg)
+	if err != nil {
+		t.Fatalf("final re-create: %v", err)
+	}
+	s.Close("test")
+	<-s.Done()
+}
+
 // TestExpireRecheckSparesActiveSession: the reaper decides a session is
 // idle under the manager lock but expires it afterwards; a subscriber
 // (or any control-plane touch) landing in that window must abort the
